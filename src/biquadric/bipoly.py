@@ -12,10 +12,10 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .scalars import (
     NumberFieldElement,
-    as_fraction,
+    as_scalar,
     format_scalar,
     is_zero_scalar,
-    promote_pair,
+    power,
     scalar_inv,
 )
 
@@ -53,9 +53,7 @@ class AffinePoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.vars):
                 raise ValueError("exponent arity mismatch")
-            if not isinstance(c, NumberFieldElement):
-                c = as_fraction(c)
-            _add_into(cleaned, exps, c)
+            _add_into(cleaned, exps, as_scalar(c))
         self.terms = cleaned
 
     @classmethod
@@ -132,14 +130,7 @@ class AffinePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = AffinePoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, AffinePoly.constant(self.vars, 1))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -246,9 +237,7 @@ class BiPoly:
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if sum(alpha) != d1 or sum(beta) != d2 or min(alpha + beta) < 0:
                 raise ValueError(f"monomial {(alpha, beta)} does not match bidegree {bidegree}")
-            if not isinstance(c, NumberFieldElement):
-                c = as_fraction(c)
-            _add_into(cleaned, (alpha, beta), c)
+            _add_into(cleaned, (alpha, beta), as_scalar(c))
         self.terms = cleaned
 
     def is_zero(self) -> bool:
@@ -311,28 +300,6 @@ class BiPoly:
         return out
 
     __rmul__ = __mul__
-
-    def scale_to_primitive(self) -> "BiPoly":
-        """Clear rational denominators and content (rational coefficients only)."""
-        if self.is_zero() or any(isinstance(c, NumberFieldElement) for c in self.terms.values()):
-            return self
-        from math import gcd
-
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * denom // c.denominator))
-        factor = Fraction(denom, num)
-        return self * factor
-
-    def to_affine(self) -> AffinePoly:
-        """The same polynomial as a sparse polynomial in all five variables."""
-        terms = {}
-        for (alpha, beta), c in self.terms.items():
-            terms[alpha + beta] = c
-        return AffinePoly(ALL_VARS, terms)
 
     @classmethod
     def from_affine(cls, p: AffinePoly) -> "BiPoly":
@@ -599,20 +566,14 @@ class FrameChange:
     __slots__ = ("g2", "g3")
 
     def __init__(self, g2, g3):
-        self.g2 = tuple(tuple(self._coerce(c) for c in row) for row in g2)
-        self.g3 = tuple(tuple(self._coerce(c) for c in row) for row in g3)
+        self.g2 = tuple(tuple(as_scalar(c) for c in row) for row in g2)
+        self.g3 = tuple(tuple(as_scalar(c) for c in row) for row in g3)
         if len(self.g2) != 2 or any(len(r) != 2 for r in self.g2):
             raise ValueError("g2 must be 2x2")
         if len(self.g3) != 3 or any(len(r) != 3 for r in self.g3):
             raise ValueError("g3 must be 3x3")
         if is_zero_scalar(det2(self.g2)) or is_zero_scalar(det3(self.g3)):
             raise ValueError("singular frame matrix")
-
-    @staticmethod
-    def _coerce(c):
-        if isinstance(c, NumberFieldElement):
-            return c
-        return as_fraction(c)
 
     @classmethod
     def identity(cls) -> "FrameChange":
@@ -651,6 +612,15 @@ def det3(m):
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def cross(u, v):
+    """Cross product of two 3-vectors."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
 
 
@@ -709,28 +679,16 @@ def act(g: FrameChange, f: BiPoly) -> BiPoly:
     return BiPoly.from_affine(acc)
 
 
-def degree_part(p: AffinePoly, d: int) -> AffinePoly:
-    """Sum of the total-degree-d terms of an affine polynomial."""
-    return p.degree_part(d)
-
-
-def rehomogenize(p: AffinePoly, chart: Tuple[int, int], bidegree: Tuple[int, int] = (2, 2)) -> BiPoly:
-    """Inverse of BiPoly.dehomogenize on polynomials that fit the bidegree."""
-    xi, yj = chart
-    x_other = 1 - xi
-    y_rest = [j for j in range(3) if j != yj]
-    d1, d2 = bidegree
-    terms: dict = {}
-    for e, c in p.terms.items():
-        xdeg, b_first, b_second = e
-        alpha = [0, 0]
-        alpha[x_other] = xdeg
-        alpha[xi] = d1 - xdeg
-        beta = [0, 0, 0]
-        beta[y_rest[0]] = b_first
-        beta[y_rest[1]] = b_second
-        beta[yj] = d2 - b_first - b_second
-        if min(alpha) < 0 or min(beta) < 0:
-            raise ValueError("affine polynomial exceeds the target bidegree")
-        _add_into(terms, (tuple(alpha), tuple(beta)), c)
-    return BiPoly(bidegree, terms)
+def is_scalar_multiple(f, g) -> bool:
+    """True iff g = c * f for a nonzero scalar c (f, g both BiPoly or both
+    AffinePoly)."""
+    if set(f.terms) != set(g.terms):
+        return False
+    ratio = None
+    for m, c in f.terms.items():
+        r = g.terms[m] * scalar_inv(c)
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            return False
+    return True

@@ -13,9 +13,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .bipoly import BiPoly, FrameChange, act
+from .bipoly import BiPoly, FrameChange, act, is_scalar_multiple
 from .classifier import Certificate, MuSign
-from .factorizer import is_scalar_multiple
 from .oneps import LimitKind, limit
 from .scalars import is_zero_scalar, scalar_inv
 

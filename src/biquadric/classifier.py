@@ -15,13 +15,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .bipoly import (
     BiPoly,
     FrameChange,
-    Y_VARS,
     act,
+    cross,
     det2,
     det3,
 )
@@ -36,12 +36,14 @@ from .fibration import (
     classify_fibre,
     conic_coefficients,
     conic_gram,
+    conic_of,
     contracted_sections,
     line_divides_conic,
-    matrix_kernel3,
-    matrix_rank3,
+    line_span,
+    matrix_rank,
     normalize_projective,
     phi_sigma_constant,
+    proportional,
     ramified_along,
     split_conic,
 )
@@ -57,6 +59,7 @@ from .singularity import (
     restrict_x,
     singular_locus,
     tangent_cone,
+    y_linear_coeffs,
 )
 from .weightlp import find_destabilizing_weight
 
@@ -92,6 +95,9 @@ class Certificate:
     claimed_mu_sign: MuSign
 
     def verify(self, f: BiPoly) -> bool:
+        # mu is 0 for the trivial weight, so it would "verify" any Zero claim
+        if self.weight.is_trivial or not self.weight.is_normalized:
+            return False
         value = mu(act(self.frame, f), self.weight)
         if self.claimed_mu_sign is MuSign.POSITIVE:
             return value > 0
@@ -148,26 +154,14 @@ IDENTITY3 = (
 _E3 = IDENTITY3
 
 
-def _proportional(u: Sequence, v: Sequence) -> bool:
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_scalar(u[i] * v[j] - u[j] * v[i]):
-                return False
-    return True
-
-
 def _line_value(line, p) -> object:
     return sum((line[i] * p[i] for i in range(1, len(p))), line[0] * p[0])
 
 
 def _point_on_line(line, avoid=None):
     """A point of the projective line Z(line), not proportional to `avoid`."""
-    kernel = matrix_kernel3((tuple(line), (0, 0, 0), (0, 0, 0)))
-    if len(kernel) != 2:
-        raise ValueError("degenerate line")
-    for v in kernel:
-        if avoid is None or not _proportional(v, avoid):
+    for v in line_span(line):
+        if avoid is None or not proportional(v, avoid):
             return v
     raise ValueError("no point on the line away from the excluded one")
 
@@ -190,15 +184,6 @@ def _x_frame_rows(p1):
     """Rows of a 2x2 frame moving the P^1 point p1 to [1, 0]."""
     p1 = normalize_projective(p1)
     return _complete_basis2(p1)
-
-
-def _binary_root(coeffs):
-    """A projective root [u0, u1] of c0*u0^2 + c1*u0*u1 + c2*u1^2."""
-    form = BinForm(2, list(coeffs))
-    if form.is_zero():
-        raise ValueError("zero binary form has no distinguished root")
-    roots = form.roots()
-    return roots[0][0]
 
 
 def normalize_frame(f: BiPoly, P: Point, alignment=PointOnly()) -> FrameChange:
@@ -265,7 +250,7 @@ def _section_points(f: BiPoly) -> Tuple:
 def _on_some_section(p2, section_points) -> bool:
     for q in section_points:
         try:
-            if _proportional(p2, q):
+            if proportional(p2, q):
                 return True
         except ValueError:
             continue
@@ -392,7 +377,7 @@ def check_semistability_conditions(
 def _any_independent(p):
     p = normalize_projective(p)
     for e in _E3:
-        if not _proportional(p, e):
+        if not proportional(p, e):
             return e
     raise ValueError("no independent direction")
 
@@ -419,7 +404,7 @@ def _non_a1_section_frame(f: BiPoly, P: Point) -> FrameChange:
         a11 = A.coefficient((0, 2, 0))
         a12 = A.coefficient((0, 1, 1))
         a22 = A.coefficient((0, 0, 2))
-        direction = _binary_root((a11, a12, a22))
+        direction = BinForm(2, (a11, a12, a22)).roots()[0][0]
     row1 = (Fraction(0), direction[0], direction[1])
     g3 = _complete_basis3((Fraction(1), Fraction(0), Fraction(0)), row1)
     return FrameChange(IDENTITY2, g3).compose(base)
@@ -442,7 +427,7 @@ def check_stability_conditions(
         out = []
         for rec in locus.isolated_points:
             try:
-                if _proportional(normalize_projective(rec.point[1]), p2):
+                if proportional(normalize_projective(rec.point[1]), p2):
                     out.append(rec)
             except ValueError:
                 continue
@@ -502,10 +487,7 @@ def check_stability_conditions(
 
 def _line_kernel_frame(ell) -> Tuple:
     """3x3 rows sending the plane line with coefficient vector ell to Z(y2)."""
-    kernel = matrix_kernel3((tuple(ell), (0, 0, 0), (0, 0, 0)))
-    if len(kernel) != 2:
-        raise ValueError("degenerate line factor")
-    return _complete_basis3(kernel[0], kernel[1])
+    return _complete_basis3(*line_span(ell))
 
 
 def _x_root_rows(line_pair):
@@ -517,13 +499,6 @@ def _x_root_rows(line_pair):
 def _x_line_coeffs(factor: BiPoly):
     return (factor.coefficient(((1, 0), (0, 0, 0))),
             factor.coefficient(((0, 1), (0, 0, 0))))
-
-
-def _y_line_coeffs(factor: BiPoly):
-    return tuple(
-        factor.coefficient(((0, 0), tuple(int(i == j) for j in range(3))))
-        for i in range(3)
-    )
 
 
 def _bilinear_lines(factor: BiPoly):
@@ -539,14 +514,6 @@ def _bilinear_lines(factor: BiPoly):
     return a, b
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _conic_point_and_tangent(conic):
     """A point on a smooth conic (over at most a quadratic extension) and the
     tangent line there."""
@@ -555,7 +522,7 @@ def _conic_point_and_tangent(conic):
     c11 = conic.coefficient((0, 2, 0))
     if all(is_zero_scalar(c) for c in (c00, c01, c11)):
         raise ValueError("conic is singular along Z(y2)")
-    r = _binary_root((c00, c01, c11))
+    r = BinForm(2, (c00, c01, c11)).roots()[0][0]
     p = (r[0], r[1], Fraction(0))
     gram = conic_gram(conic)
     tangent = tuple(
@@ -586,7 +553,7 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
     # A plane-line factor (0,1): always unstable.
     plane_lines = [fac for bd, fac in factors if bd == (0, 1)]
     if plane_lines:
-        ell = _y_line_coeffs(plane_lines[0])
+        ell = y_linear_coeffs(plane_lines[0])
         g3 = _line_kernel_frame(ell)
         moved = act(FrameChange(IDENTITY2, g3), f)
         q0 = BinForm(2, [
@@ -606,7 +573,7 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
         p1root = (lp[1], -lp[0])
         g0 = restrict_x(quadric[0], p1root)
         x_rows = _x_root_rows(lp)
-        if matrix_rank3(conic_gram(g0)) == 3:
+        if matrix_rank(conic_gram(g0)) == 3:
             frame = _split_surface_frame(x_rows, g0)
             cert = _verified(
                 Certificate(frame, W_SPLIT_SURFACE, MuSign.ZERO), f)
@@ -628,8 +595,8 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
     if len(bilinears) == 2:
         a, b = _bilinear_lines(bilinears[0])
         c, d = _bilinear_lines(bilinears[1])
-        w0, w1, w2 = _cross(a, c), \
-            tuple(x + y for x, y in zip(_cross(a, d), _cross(b, c))), _cross(b, d)
+        w0, w1, w2 = cross(a, c), \
+            tuple(x + y for x, y in zip(cross(a, d), cross(b, c))), cross(b, d)
         forms = [BinForm(2, [w0[i], w1[i], w2[i]]) for i in range(3)]
         g = forms[0]
         for h in forms[1:]:
@@ -646,7 +613,7 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
             return verdict(StabilityClass.UNSTABLE, cert,
                            "two ruled pieces", "CommonFibre",
                            W_RAMIFIED_DOUBLE_FIBRE)
-        p1pt = _cross(a, b)
+        p1pt = cross(a, b)
         if all(is_zero_scalar(x) for x in p1pt):
             raise RuntimeError("degenerate (1,1) factor")
         cp, dp = _line_value(c, p1pt), _line_value(d, p1pt)
@@ -670,7 +637,7 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
             _x_line_coeffs(fac) for bd, fac in factors if bd == (1, 0)
         ]
         conic_factor = next(fac for bd, fac in factors if bd == (0, 2))
-        conic = _conic_of(conic_factor)
+        conic = conic_of(conic_factor)
         if is_zero_scalar(l1[0] * l2[1] - l1[1] * l2[0]):
             # repeated fibre plane
             frame = FrameChange(_x_root_rows(l1), IDENTITY3)
@@ -689,14 +656,6 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
                        "IrreducibleConicCylinder", W_SPLIT_SURFACE)
 
     raise RuntimeError(f"unhandled factor bidegrees: {bidegrees}")
-
-
-def _conic_of(factor: BiPoly):
-    from .bipoly import AffinePoly
-
-    return AffinePoly(
-        Y_VARS, {beta: c for ((_a, _b), beta), c in factor.terms.items()}
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,10 @@ def poly_to_map(f: BiPoly) -> dict:
 
 
 def poly_from_map(data: dict) -> BiPoly:
-    terms = {_parse_monomial_key(k): Fraction(v) for k, v in data.items()}
+    try:
+        terms = {_parse_monomial_key(k): Fraction(v) for k, v in data.items()}
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(f"malformed coefficient map: {exc}") from exc
     return BiPoly((2, 2), terms)
 
 
@@ -114,11 +117,14 @@ def cert_to_json(cert: Certificate) -> dict:
 
 
 def cert_from_json(data: dict) -> Certificate:
-    return Certificate(
-        frame=frame_from_json(data["frame"]),
-        weight=Weight.parse(data["weight"]),
-        claimed_mu_sign=MuSign(data["claimed_mu_sign"]),
-    )
+    try:
+        return Certificate(
+            frame=frame_from_json(data["frame"]),
+            weight=Weight.parse(data["weight"]),
+            claimed_mu_sign=MuSign(data["claimed_mu_sign"]),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise PreconditionError(f"malformed certificate: missing or mistyped {exc}") from exc
 
 
 def _fmt_coords(coords) -> str:
@@ -273,14 +279,7 @@ def _cmd_factor(args) -> int:
     report = {"factors": []}
     lines = []
     for bd, fac in factors:
-        entry = {
-            "bidegree": list(bd),
-            "terms": {
-                _monomial_key(m): format_scalar(c)
-                for m, c in sorted(fac.terms.items(), key=lambda kv: _monomial_key(kv[0]))
-            },
-        }
-        report["factors"].append(entry)
+        report["factors"].append({"bidegree": list(bd), "terms": poly_to_map(fac)})
         lines.append(f"bidegree {bd}: {fac!r}")
     _emit(report, args.json, lines)
     return EXIT_OK
@@ -340,8 +339,11 @@ def _cmd_verify_cert(args) -> int:
     else:
         if args.cert_file is None:
             raise PreconditionError("provide a certificate file or --stdin")
-        with open(args.cert_file, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        try:
+            with open(args.cert_file, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.cert_file}: {exc.strerror}") from exc
     cert_doc = doc.get("certificate", doc) if isinstance(doc, dict) else doc
     if cert_doc is None:
         raise PreconditionError("report carries no certificate")

@@ -15,14 +15,15 @@ from typing import List, Optional, Tuple
 
 import sympy
 
-from .bipoly import AffinePoly, ALL_VARS, BiPoly, Y_VARS
-from .fibration import conic_coefficients, split_conic
+from .bipoly import AffinePoly, BiPoly
+from .fibration import conic_coefficients, conic_of, split_conic
 from .scalars import (
     NumberFieldElement,
     UniPoly,
     as_fraction,
     is_zero_scalar,
     scalar_inv,
+    uv_roots,
 )
 
 _SYMS = sympy.symbols("x0 x1 y0 y1 y2")
@@ -68,8 +69,8 @@ def poly_sqrt(delta: AffinePoly) -> Optional[AffinePoly]:
         return None
     root = _rational_sqrt(c)
     if root is None:
-        modulus = UniPoly([-c, Fraction(0), Fraction(1)])
-        lead_coeff = NumberFieldElement.generator(modulus)
+        # t^2 - c is irreducible since c is not a rational square
+        lead_coeff = NumberFieldElement(UniPoly([-c, Fraction(0), Fraction(1)]), UniPoly.gen())
     else:
         lead_coeff = root
     s = AffinePoly(delta.vars, {half: lead_coeff})
@@ -146,7 +147,7 @@ def _split_binary_x(fac: BiPoly) -> List[BiPoly]:
     # roots of c20 + c11 t + c02 t^2 = 0 for t = x1/x0 (both extreme
     # coefficients are nonzero since the form is irreducible over Q)
     poly = UniPoly([c20, c11, c02]).monic()
-    alpha = NumberFieldElement.generator(poly)
+    (alpha, _mult), = uv_roots(poly)
     beta = -poly.coeffs[1] - alpha
     out = []
     for root in (alpha, beta):
@@ -155,8 +156,7 @@ def _split_binary_x(fac: BiPoly) -> List[BiPoly]:
 
 
 def _split_conic_factor(fac: BiPoly) -> List[BiPoly]:
-    q = AffinePoly(Y_VARS, {beta: c for ((_, _), beta), c in fac.terms.items()})
-    lines = split_conic(q)
+    lines = split_conic(conic_of(fac))
     if lines is None:
         return [fac]
     out = []
@@ -279,15 +279,3 @@ def product_of_factors(factors: List[Factor]) -> BiPoly:
         acc = acc * p
     return acc
 
-
-def is_scalar_multiple(f: BiPoly, g: BiPoly) -> bool:
-    if f.bidegree != g.bidegree or set(f.terms) != set(g.terms):
-        return False
-    ratio = None
-    for m, c in f.terms.items():
-        r = g.terms[m] * scalar_inv(c)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return False
-    return True

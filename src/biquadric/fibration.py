@@ -16,16 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .bipoly import AffinePoly, BiPoly, FrameChange, Y_VARS, act, det3, inv3
+from .bipoly import AffinePoly, BiPoly, FrameChange, Y_VARS, act, det3, inv3, is_scalar_multiple
 from .scalars import (
-    NumberFieldElement,
     UniPoly,
-    as_fraction,
     is_zero_scalar,
     promote_pair,
     scalar_inv,
-    uv_factorize,
     uv_gcd,
+    uv_roots,
 )
 
 # ---------------------------------------------------------------------------
@@ -33,24 +31,27 @@ from .scalars import (
 
 
 class BinForm:
-    """Homogeneous binary form; coeffs[i] multiplies x0^(d-i) x1^i.
+    """Homogeneous binary form of formal degree d, stored as the univariate
+    polynomial poly(t) = form(1, t); coefficient i multiplies x0^(d-i) x1^i.
 
-    The zero form of degree d keeps its formal degree for bookkeeping.
+    A drop of poly's degree below d is a root at [0, 1] (infinity).  The zero
+    form of degree d keeps its formal degree for bookkeeping.
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "poly")
 
-    def __init__(self, d: int, coeffs: Sequence = ()):
+    def __init__(self, d: int, coeffs: Union[Sequence, UniPoly] = ()):
         self.d = int(d)
-        cs = list(coeffs) + [0] * (self.d + 1 - len(coeffs))
-        if len(cs) != self.d + 1:
+        self.poly = coeffs if isinstance(coeffs, UniPoly) else UniPoly(coeffs)
+        if self.poly.degree > self.d:
             raise ValueError("too many coefficients")
-        self.coeffs = tuple(
-            c if isinstance(c, NumberFieldElement) else as_fraction(c) for c in cs
-        )
+
+    @property
+    def coeffs(self) -> Tuple:
+        return self.poly.coeffs + (Fraction(0),) * (self.d - self.poly.degree)
 
     def is_zero(self) -> bool:
-        return all(is_zero_scalar(c) for c in self.coeffs)
+        return self.poly.is_zero()
 
     def __bool__(self):
         return not self.is_zero()
@@ -58,78 +59,50 @@ class BinForm:
     def __eq__(self, other):
         if not isinstance(other, BinForm):
             return NotImplemented
-        return self.d == other.d and self.coeffs == other.coeffs
+        return self.d == other.d and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.d, self.coeffs))
+        return hash((self.d, self.poly))
 
     def __add__(self, other):
         if self.d != other.d:
             raise ValueError("degree mismatch")
-        return BinForm(self.d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinForm(self.d, self.poly + other.poly)
 
     def __neg__(self):
-        return BinForm(self.d, [-c for c in self.coeffs])
+        return BinForm(self.d, -self.poly)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, BinForm):
-            out = [Fraction(0)] * (self.d + other.d + 1)
-            for i, a in enumerate(self.coeffs):
-                if is_zero_scalar(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return BinForm(self.d + other.d, out)
-        return BinForm(self.d, [c * other for c in self.coeffs])
+            return BinForm(self.d + other.d, self.poly * other.poly)
+        return BinForm(self.d, self.poly * other)
 
     __rmul__ = __mul__
 
     def evaluate(self, p):
         """Value at a P^1 point given by a coordinate pair of scalars."""
         p0, p1 = p
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if is_zero_scalar(c):
-                continue
-            acc = acc + c * (p0 ** (self.d - i)) * (p1 ** i)
-        return acc
-
-    def dehomogenized(self) -> UniPoly:
-        """The univariate polynomial form(1, t)."""
-        return UniPoly([as_fraction(c) if not isinstance(c, NumberFieldElement) else c for c in self.coeffs])
-
-    def is_rational(self) -> bool:
-        return all(not isinstance(c, NumberFieldElement) for c in self.coeffs)
+        if is_zero_scalar(p0):
+            return self.coeffs[self.d] * p1 ** self.d
+        return self.poly.evaluate(p1 * scalar_inv(p0)) * p0 ** self.d
 
     def roots(self) -> List[Tuple[Tuple[object, object], int]]:
-        """Roots in P^1 over the algebraic closure, with multiplicities.
+        """Roots in P^1 with multiplicities, as found by ``uv_roots``.
 
-        Rational roots appear with Fraction coordinates; an irreducible factor
-        of degree >= 2 contributes one representative point whose coordinate
-        lies in the corresponding number field.  The point at infinity [0, 1]
-        accounts for any drop in the dehomogenized degree.
+        A root r of poly is the point [1, r], with 1 taken in r's number
+        field; the point at infinity [0, 1] accounts for any drop in the
+        degree of poly.
         """
         if self.is_zero():
             raise ValueError("the zero form has no root list")
-        if not self.is_rational():
-            raise NotImplementedError("root finding needs rational coefficients")
-        u = self.dehomogenized()
         out: List[Tuple[Tuple[object, object], int]] = []
-        inf_mult = self.d - u.degree
-        if inf_mult > 0:
-            out.append(((Fraction(0), Fraction(1)), inf_mult))
-        if u.degree >= 1:
-            for fac, mult in uv_factorize(u):
-                if fac.degree == 1:
-                    root = -fac.coeffs[0]
-                    out.append(((Fraction(1), root), mult))
-                else:
-                    alpha = NumberFieldElement.generator(fac)
-                    one = NumberFieldElement.from_rational(fac.monic().coeffs, 1)
-                    out.append(((one, alpha), mult))
+        if self.d > self.poly.degree:
+            out.append(((Fraction(0), Fraction(1)), self.d - self.poly.degree))
+        for root, mult in uv_roots(self.poly):
+            out.append(((promote_pair(root, 1)[1], root), mult))
         return out
 
     def __repr__(self):
@@ -142,12 +115,9 @@ def binform_gcd(a: BinForm, b: BinForm) -> BinForm:
         return b
     if b.is_zero():
         return a
-    ua, ub = a.dehomogenized(), b.dehomogenized()
-    g = uv_gcd(ua, ub)
-    inf = min(a.d - ua.degree, b.d - ub.degree)
-    # Re-homogenize the affine gcd, then restore the shared root at infinity.
-    coeffs = list(g.coeffs) + [0] * inf
-    return BinForm(g.degree + inf, coeffs)
+    g = uv_gcd(a.poly, b.poly)
+    # the shared root at infinity raises the formal degree only
+    return BinForm(g.degree + min(a.d - a.poly.degree, b.d - b.poly.degree), g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,93 +151,49 @@ def fibre_matrix(f: BiPoly) -> ConicPencil:
     return ConicPencil(ent)
 
 
-def _det3_forms(m) -> BinForm:
-    def mul3(a, b, c):
-        return a * b * c
-
-    return (
-        mul3(m[0][0], m[1][1], m[2][2])
-        + mul3(m[0][1], m[1][2], m[2][0])
-        + mul3(m[0][2], m[1][0], m[2][1])
-        - mul3(m[0][2], m[1][1], m[2][0])
-        - mul3(m[0][0], m[1][2], m[2][1])
-        - mul3(m[0][1], m[1][0], m[2][2])
-    )
-
-
 def discriminant(pencil: ConicPencil) -> BinForm:
     """det M(x): a binary sextic vanishing exactly at the singular fibres."""
-    return _det3_forms(pencil.entries)
-
-
-def pencil_adjugate(pencil: ConicPencil) -> Tuple[Tuple[BinForm, ...], ...]:
-    """Adjugate matrix of M(x); entries are binary quartics."""
-    m = pencil.entries
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        return minor if (i + j) % 2 == 0 else -minor
-
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+    return det3(pencil.entries)
 
 
 # ---------------------------------------------------------------------------
-# Scalar matrix utilities (symmetric 3x3 over an exact field)
+# Scalar matrix utilities (small matrices over an exact field)
 
 
-def matrix_rank3(m) -> int:
+def _row_reduce(m):
+    """Reduced row echelon form of a small matrix: (rows, pivot columns)."""
     rows = [list(r) for r in m]
-    rank = 0
-    col = 0
-    while col < 3 and rank < 3:
-        pivot = None
-        for r in range(rank, 3):
-            if not is_zero_scalar(rows[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = scalar_inv(rows[rank][col])
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(3):
-            if r != rank and not is_zero_scalar(rows[r][col]):
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def matrix_kernel3(m) -> List[Tuple[object, object, object]]:
-    """Basis of the right kernel of a 3x3 matrix over an exact field."""
-    rows = [list(r) for r in m]
-    pivots = []
-    rank = 0
-    for col in range(3):
-        pivot = None
-        for r in range(rank, 3):
-            if not is_zero_scalar(rows[r][col]):
-                pivot = r
-                break
+    pivots: List[int] = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((r for r in range(rank, len(rows)) if not is_zero_scalar(rows[r][col])), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = scalar_inv(rows[rank][col])
         rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(3):
+        for r in range(len(rows)):
             if r != rank and not is_zero_scalar(rows[r][col]):
                 factor = rows[r][col]
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(3) if c not in pivots]
+    return rows, pivots
+
+
+def matrix_rank(m) -> int:
+    return len(_row_reduce(m)[1])
+
+
+def matrix_kernel(m) -> List[Tuple[object, ...]]:
+    """Basis of the right kernel of a small matrix over an exact field."""
+    rows, pivots = _row_reduce(m)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * 3
+    for fc in range(len(rows[0])):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * len(rows[0])
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
@@ -282,6 +208,16 @@ def normalize_projective(coords):
             inv = scalar_inv(c)
             return tuple(v * inv for v in coords)
     raise ValueError("zero coordinate vector")
+
+
+def proportional(u, v) -> bool:
+    """True iff the coordinate vectors u and v are proportional."""
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not is_zero_scalar(u[i] * v[j] - u[j] * v[i]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +241,7 @@ class FibreClass:
 
 def classify_fibre(f: BiPoly, p1) -> FibreClass:
     m = fibre_matrix(f).evaluate(p1)
-    rank = matrix_rank3(m)
+    rank = matrix_rank(m)
     if rank == 0:
         raise ValueError("the fibre over this point is the whole plane")
     return FibreClass(rank, _RANK_TO_LABEL[rank])
@@ -325,6 +261,11 @@ def conic_coefficients(f: BiPoly) -> Tuple[AffinePoly, AffinePoly, AffinePoly]:
     return tuple(AffinePoly(Y_VARS, terms) for terms in conics)
 
 
+def conic_of(factor: BiPoly) -> AffinePoly:
+    """The conic in y of a form of bidegree (0, 2)."""
+    return AffinePoly(Y_VARS, {beta: c for (_alpha, beta), c in factor.terms.items()})
+
+
 def conic_gram(q: AffinePoly):
     """Symmetric Gram matrix (halved mixed terms) of a quadratic form in y."""
     g = [[Fraction(0)] * 3 for _ in range(3)]
@@ -340,12 +281,14 @@ def conic_gram(q: AffinePoly):
     return tuple(tuple(row) for row in g)
 
 
-def eval_quadric(gram, v):
+def bilinear(g, u, v):
+    """u^T g v for a symmetric 3x3 Gram matrix g; bilinear(g, v, v) is the
+    value of the quadratic form at v."""
     acc = Fraction(0)
     for i in range(3):
         for j in range(3):
-            if not is_zero_scalar(gram[i][j]):
-                acc = acc + gram[i][j] * v[i] * v[j]
+            if not is_zero_scalar(g[i][j]):
+                acc = acc + g[i][j] * u[i] * v[j]
     return acc
 
 
@@ -356,7 +299,7 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
     scalar extension.  A rank-1 conic returns the same line twice.
     """
     g = conic_gram(q)
-    rank = matrix_rank3(g)
+    rank = matrix_rank(g)
     if rank == 3:
         return None
     if rank == 0:
@@ -368,7 +311,7 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
                 return [line, line]
         raise AssertionError("rank-1 symmetric matrix with zero diagonal")
     # rank 2: quotient by the kernel direction and factor a binary quadratic
-    kernel = matrix_kernel3(g)[0]
+    kernel = matrix_kernel(g)[0]
     e_a = e_b = None
     for i in range(3):
         for j in range(i + 1, 3):
@@ -379,9 +322,9 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
                 break
         if e_a is not None:
             break
-    alpha = eval_quadric(g, e_a)
-    gamma = eval_quadric(g, e_b)
-    beta = 2 * _bilinear(g, e_a, e_b)
+    alpha = bilinear(g, e_a, e_a)
+    gamma = bilinear(g, e_b, e_b)
+    beta = 2 * bilinear(g, e_a, e_b)
     # q = alpha u^2 + beta u w + gamma w^2 in the dual coordinates (u, w)
     tmat = (e_a, e_b, kernel)
     tinv = inv3(tmat)
@@ -393,109 +336,27 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
 
     if is_zero_scalar(alpha):
         return [combo(0, 1), combo(beta, gamma)]
-    # roots of alpha t^2 + beta t + gamma; lines u - t_i w
+    # roots of alpha t^2 + beta t + gamma; lines u - t_i w.  An irreducible
+    # quadratic over Q yields one generator; its conjugate is -b - root.
     b = beta * scalar_inv(alpha)
-    c = gamma * scalar_inv(alpha)
-    roots = _quadratic_roots(b, c)
+    quadratic = UniPoly([gamma * scalar_inv(alpha), b, 1])
+    roots = [r for r, mult in uv_roots(quadratic) for _ in range(mult)]
+    if len(roots) == 1:
+        roots.append(-b - roots[0])
     return [combo(1, -t) for t in roots]
-
-
-def _quadratic_roots(b, c):
-    """Both roots of t^2 + b t + c over the base field or a quadratic extension."""
-    disc_b, disc_c = promote_pair(b, c)
-    b, c = disc_b, disc_c
-    if isinstance(b, NumberFieldElement) or isinstance(c, NumberFieldElement):
-        # try to split over the existing field by searching a root via the
-        # factorization of the norm form; genuine towers are out of scope
-        root = _nf_quadratic_root(b, c)
-        if root is not None:
-            return [root, -b - root]
-        raise NotImplementedError(
-            "quadratic extension of a number field (tower) is not supported"
-        )
-    poly = UniPoly([as_fraction(c), as_fraction(b), Fraction(1)])
-    factors = uv_factorize(poly)
-    if all(f.degree == 1 for f, _ in factors):
-        roots = []
-        for f, mult in factors:
-            roots.extend([-f.coeffs[0]] * mult)
-        return roots
-    gen = NumberFieldElement.generator(poly.monic())
-    return [gen, -b - gen]
-
-
-def _nf_quadratic_root(b, c):
-    """A root of t^2 + bt + c inside the field of b, c, if one exists."""
-    if not isinstance(b, NumberFieldElement):
-        b = NumberFieldElement.from_rational(c.modulus, b)
-    if not isinstance(c, NumberFieldElement):
-        c = NumberFieldElement.from_rational(b.modulus, c)
-    disc = b * b - 4 * c
-    if disc.is_zero():
-        return b * Fraction(-1, 2)
-    sqrt = _nf_sqrt(disc)
-    if sqrt is None:
-        return None
-    return (sqrt - b) * Fraction(1, 2)
-
-
-def _nf_sqrt(a: NumberFieldElement):
-    """A square root of a within its own number field, or None.
-
-    Decided by factoring X^2 - a over the field: a linear factor exhibits the
-    root, and its absence proves there is none.
-    """
-    import sympy
-
-    t = sympy.Symbol("t")
-    mod_expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * t ** i
-        for i, c in enumerate(a.modulus)
-    )
-    alpha = sympy.CRootOf(sympy.Poly(mod_expr, t), 0)
-    val = sum(
-        sympy.Rational(c.numerator, c.denominator) * alpha ** i
-        for i, c in enumerate(a.residue)
-    )
-    X = sympy.Symbol("X")
-    try:
-        poly = sympy.Poly(X * X - val, X, extension=alpha)
-        _, factors = poly.factor_list()
-    except (NotImplementedError, sympy.polys.polyerrors.PolynomialError):
-        return None
-    for fac, _m in factors:
-        if fac.degree() == 1:
-            coeffs = fac.all_coeffs()  # [lead, const] over QQ(alpha)
-            root_expr = sympy.simplify(-coeffs[1] / coeffs[0])
-            # express the root in the power basis of alpha
-            rep = sympy.Poly(sympy.expand(root_expr), alpha).all_coeffs()[::-1]
-            residue = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in rep]
-            cand = NumberFieldElement(a.modulus, residue)
-            if cand * cand == a:
-                return cand
-    return None
-
-
-def _bilinear(g, u, v):
-    acc = Fraction(0)
-    for i in range(3):
-        for j in range(3):
-            if not is_zero_scalar(g[i][j]):
-                acc = acc + g[i][j] * u[i] * v[j]
-    return acc
 
 
 def line_divides_conic(line, q: AffinePoly) -> bool:
     """True iff the conic vanishes identically on the line Z(line)."""
     g = conic_gram(q)
-    v1, v2 = _line_span(line)
+    v1, v2 = line_span(line)
     checks = [v1, v2, tuple(a + b for a, b in zip(v1, v2))]
-    return all(is_zero_scalar(eval_quadric(g, v)) for v in checks)
+    return all(is_zero_scalar(bilinear(g, v, v)) for v in checks)
 
 
-def _line_span(line):
+def line_span(line):
     """Two points spanning the line with coefficient triple `line`."""
-    kernel = matrix_kernel3((line, (0, 0, 0), (0, 0, 0)))
+    kernel = matrix_kernel((line, (0, 0, 0), (0, 0, 0)))
     if len(kernel) != 2:
         raise ValueError("degenerate line")
     return kernel[0], kernel[1]
@@ -530,7 +391,7 @@ def contracted_sections(f: BiPoly) -> Union[FiniteSections, CurveOfSections]:
         raise ValueError("zero polynomial")
     if len(conics) == 1:
         return CurveOfSections(conics[0])
-    if all(_proportional_conics(conics[0], q) for q in conics[1:]):
+    if all(is_scalar_multiple(conics[0], q) for q in conics[1:]):
         return CurveOfSections(conics[0])
     lines = split_conic(conics[0])
     if lines is not None:
@@ -540,19 +401,6 @@ def contracted_sections(f: BiPoly) -> Union[FiniteSections, CurveOfSections]:
                     AffinePoly(Y_VARS, {tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
                 )
     return FiniteSections(tuple(_common_conic_points(conics)))
-
-
-def _proportional_conics(p: AffinePoly, q: AffinePoly) -> bool:
-    if set(p.terms) != set(q.terms):
-        return False
-    ratio = None
-    for e, c in p.terms.items():
-        r = q.terms[e] * scalar_inv(c)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return False
-    return True
 
 
 def _y2_profile(q: AffinePoly):
@@ -630,8 +478,7 @@ def _solve_y2(conics, u0, u1):
     for q in conics:
         c2, c1, c0 = _y2_profile(q)
         coeffs = [c0.evaluate((u0, u1)), c1.evaluate((u0, u1)), c2 * 1]
-        coeffs = [promote_to(u0, c) for c in coeffs]
-        p = UniPoly(coeffs)
+        p = UniPoly([promote_pair(u0, c)[1] for c in coeffs])
         if not p.is_zero():
             polys.append(p)
     if not polys:
@@ -639,50 +486,11 @@ def _solve_y2(conics, u0, u1):
     h = polys[0]
     for p in polys[1:]:
         h = uv_gcd(h, p)
-    if h.degree <= 0:
-        return []
     out = []
-    if h.degree == 1:
-        root = -h.coeffs[0] * scalar_inv(h.coeffs[1])
-        out.append((u0, u1, root))
-    elif h.is_rational():
-        for fac, _m in uv_factorize(h):
-            if fac.degree == 1:
-                out.append((u0, u1, -fac.coeffs[0]))
-            else:
-                gen = NumberFieldElement.generator(fac)
-                one = NumberFieldElement.from_rational(fac.monic().coeffs, 1)
-                out.append((u0 * one, u1 * one, gen))
-    else:
-        roots = [r for r in _nf_poly_roots(h)]
-        if not roots:
-            raise NotImplementedError(
-                "common point needs a tower of number fields; unsupported"
-            )
-        for r in roots:
-            out.append((u0, u1, r))
+    for root, _mult in uv_roots(h):
+        # a root in a new number field lifts the base point into that field
+        out.append((promote_pair(root, u0)[1], promote_pair(root, u1)[1], root))
     return out
-
-
-def _nf_poly_roots(h: UniPoly):
-    """Roots of a low-degree polynomial with number-field coefficients that lie
-    in the same field (degree-2 case via the in-field square root)."""
-    if h.degree == 2:
-        lead_inv = scalar_inv(h.leading())
-        b = h.coeffs[1] * lead_inv
-        c = h.coeffs[0] * lead_inv
-        root = _nf_quadratic_root(b, c)
-        if root is None:
-            return []
-        other = -b - root
-        return [root] if root == other else [root, other]
-    return []
-
-
-def promote_to(sample, value):
-    """Lift a scalar into the number field of `sample` when needed."""
-    a, b = promote_pair(sample, value)
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +531,7 @@ def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
         if not is_zero_scalar(q.coefficient((2, 0, 0))):
             raise ValueError("p2 is not a contracted-section point")
         rows.append((q.coefficient((1, 1, 0)), q.coefficient((1, 0, 1))))
-    rank = _rank_3x2(rows)
+    rank = matrix_rank(rows)
     if rank == 0:
         return PhiSigma(PhiSigmaKind.UNDEFINED)
     if rank >= 2:
@@ -736,11 +544,6 @@ def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
         sum((g3inv[i][j] * new_line[j] for j in range(3)), Fraction(0)) for i in range(3)
     )
     return PhiSigma(PhiSigmaKind.CONSTANT, normalize_projective(line))
-
-
-def _rank_3x2(rows) -> int:
-    m = [list(r) + [0] for r in rows]
-    return matrix_rank3(m)
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +567,7 @@ def ramified_along(f: BiPoly, p1, line) -> bool:
     fg = act(g, f)
     A, B, C = conic_coefficients(fg)
     # fibre over [1, 0] is Z(A); the line must lie on it
-    gramA = conic_gram(A)
-    v1, v2 = _line_span(line)
-    for v in (v1, v2, tuple(a + b for a, b in zip(v1, v2))):
-        if not is_zero_scalar(eval_quadric(gramA, v)):
-            raise ValueError("the line is not contained in the fibre over p1")
+    if not line_divides_conic(line, A):
+        raise ValueError("the line is not contained in the fibre over p1")
     # d f / d x1 at x = [1, 0] equals B (the coefficient of x0 x1)
     return line_divides_conic(line, B) if not B.is_zero() else True

@@ -9,7 +9,7 @@ at most 6; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Tuple, Union
 
 import sympy
 
@@ -27,6 +27,11 @@ def as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"not a rational scalar: {c!r}")
+
+
+def as_scalar(c):
+    """A number-field element as it is, anything else as a Fraction."""
+    return c if isinstance(c, NumberFieldElement) else as_fraction(c)
 
 
 def is_zero_scalar(c) -> bool:
@@ -52,7 +57,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, NumberFieldElement) else as_fraction(c) for c in coeffs]
+        cs = [as_scalar(c) for c in coeffs]
         while cs and is_zero_scalar(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
@@ -122,14 +127,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, UniPoly([1]))
 
     @staticmethod
     def _coerce(other) -> "UniPoly":
@@ -455,14 +453,7 @@ class NumberFieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = NumberFieldElement.from_rational(self.modulus, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, NumberFieldElement.from_rational(self.modulus, 1))
 
     def __repr__(self):
         res = UniPoly(self.residue)
@@ -483,19 +474,6 @@ class NumberFieldElement:
         return cls(mod, res)
 
 
-def nf_arithmetic(a: NumberFieldElement, b: NumberFieldElement, op: str) -> NumberFieldElement:
-    """Field arithmetic on two elements of the same number field."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def promote_pair(a, b):
     """Bring two scalars into a common field (rationals or one number field)."""
     a_nf = isinstance(a, NumberFieldElement)
@@ -511,16 +489,82 @@ def promote_pair(a, b):
     return as_fraction(a), as_fraction(b)
 
 
-def scalar_field_modulus(values: Sequence) -> "tuple | None":
-    """The common number-field modulus of a collection of scalars, or None."""
-    modulus = None
-    for v in values:
-        if isinstance(v, NumberFieldElement):
-            if modulus is None:
-                modulus = v.modulus
-            elif modulus != v.modulus:
-                raise ValueError("cannot mix two distinct number fields")
-    return modulus
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; `one` is the unit of base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def uv_roots(p: UniPoly) -> List[Tuple[Scalar, int]]:
+    """Roots of p with their multiplicities, p over Q or over one number field.
+
+    Over Q, an irreducible factor of degree >= 2 contributes one root: the
+    generator of the number field that the factor defines.  Over a number
+    field, only roots inside that field are found; a root that would need a
+    further extension (a tower of fields) raises NotImplementedError.
+    """
+    if p.degree < 1:
+        return []
+    if p.degree == 1:
+        return [(-p.coeffs[0] * scalar_inv(p.coeffs[1]), 1)]
+    if p.is_rational():
+        return [
+            (-fac.coeffs[0] if fac.degree == 1 else NumberFieldElement(fac, UniPoly.gen()), mult)
+            for fac, mult in uv_factorize(p)
+        ]
+    if p.degree == 2:
+        inv = scalar_inv(p.leading())
+        b, c = promote_pair(p.coeffs[1] * inv, p.coeffs[0] * inv)
+        disc = b * b - 4 * c
+        if disc.is_zero():
+            return [(b * Fraction(-1, 2), 2)]
+        sqrt = _nf_sqrt(disc)
+        if sqrt is not None:
+            root = (sqrt - b) * Fraction(1, 2)
+            return [(root, 1), (-b - root, 1)]
+    raise NotImplementedError(
+        "roots outside the coefficients' number field (a tower) are not supported"
+    )
+
+
+def _nf_sqrt(a: NumberFieldElement):
+    """A square root of a within its own number field, or None.
+
+    Decided by factoring X^2 - a over the field: a linear factor exhibits the
+    root, and its absence proves there is none.
+    """
+    mod_expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * _t ** i
+        for i, c in enumerate(a.modulus)
+    )
+    alpha = sympy.CRootOf(sympy.Poly(mod_expr, _t), 0)
+    val = sum(
+        sympy.Rational(c.numerator, c.denominator) * alpha ** i
+        for i, c in enumerate(a.residue)
+    )
+    X = sympy.Symbol("X")
+    try:
+        poly = sympy.Poly(X * X - val, X, extension=alpha)
+        _, factors = poly.factor_list()
+    except (NotImplementedError, sympy.polys.polyerrors.PolynomialError):
+        return None
+    for fac, _m in factors:
+        if fac.degree() == 1:
+            coeffs = fac.all_coeffs()  # [lead, const] over QQ(alpha)
+            root_expr = sympy.simplify(-coeffs[1] / coeffs[0])
+            # express the root in the power basis of alpha
+            rep = sympy.Poly(sympy.expand(root_expr), alpha).all_coeffs()[::-1]
+            residue = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in rep]
+            cand = NumberFieldElement(a.modulus, residue)
+            if cand * cand == a:
+                return cand
+    return None
 
 
 def format_scalar(c) -> str:

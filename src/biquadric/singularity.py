@@ -13,12 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .bipoly import AffinePoly, BiPoly, FrameChange, Y_VARS, act
+from .bipoly import (
+    AffinePoly,
+    BiPoly,
+    FrameChange,
+    Y_VARS,
+    act,
+    adjugate3,
+    det3,
+    is_scalar_multiple,
+)
 from .factorizer import bihomogeneous_factor
 from .fibration import (
     BinForm,
     binform_gcd,
     classify_fibre,
+    conic_gram,
     contracted_sections,
     CurveOfSections,
     discriminant,
@@ -26,19 +36,17 @@ from .fibration import (
     FiniteSections,
     frame_moving_p1,
     frame_moving_p2,
-    matrix_kernel3,
-    matrix_rank3,
+    matrix_kernel,
+    matrix_rank,
     normalize_projective,
-    pencil_adjugate,
+    proportional,
 )
 from .scalars import (
-    NumberFieldElement,
     UniPoly,
-    as_fraction,
     is_zero_scalar,
     scalar_inv,
-    uv_factorize,
     uv_gcd,
+    uv_roots,
 )
 
 CHART_VARS = ("x1", "y1", "y2")
@@ -126,30 +134,14 @@ def hessian_det(cone: AffinePoly):
     n = len(cone.vars)
     if n != 3:
         raise ValueError("expected a form in three variables")
-    h = [[Fraction(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            second = cone.partial(cone.vars[i]).partial(cone.vars[j])
-            h[i][j] = second.coefficient((0, 0, 0))
-    return (
-        h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-        - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-        + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
-    )
+    return det3([
+        [cone.partial(vi).partial(vj).coefficient((0, 0, 0)) for vj in cone.vars]
+        for vi in cone.vars
+    ])
 
 
 def cone_corank(cone: AffinePoly) -> int:
-    g = [[Fraction(0)] * 3 for _ in range(3)]
-    for e, c in cone.terms.items():
-        idx = [i for i in range(3) for _ in range(e[i])]
-        i, j = idx
-        if i == j:
-            g[i][i] = g[i][i] + c
-        else:
-            half = c * Fraction(1, 2)
-            g[i][j] = g[i][j] + half
-            g[j][i] = g[j][i] + half
-    return 3 - matrix_rank3(g)
+    return 3 - matrix_rank(conic_gram(cone))
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +168,15 @@ class _RowSpace:
     def _order(e):
         return (sum(e), e)
 
-    def insert(self, row: Dict[Tuple[int, ...], object]) -> bool:
+    def _reduce(self, row: Dict[Tuple[int, ...], object]):
+        """Reduce a row by the pivots: the remainder and its lead monomial,
+        or None for the lead if the row lies in the span."""
         row = {e: c for e, c in row.items() if not is_zero_scalar(c)}
         while row:
             lead = min(row, key=self._order)
             pivot = self.pivots.get(lead)
             if pivot is None:
-                inv = scalar_inv(row[lead])
-                self.pivots[lead] = {e: c * inv for e, c in row.items()}
-                return True
+                return row, lead
             factor = row[lead]
             for e, c in pivot.items():
                 v = row.get(e, Fraction(0)) - factor * c
@@ -192,23 +184,18 @@ class _RowSpace:
                     row.pop(e, None)
                 else:
                     row[e] = v
-        return False
+        return row, None
+
+    def insert(self, row: Dict[Tuple[int, ...], object]) -> bool:
+        row, lead = self._reduce(row)
+        if lead is None:
+            return False
+        inv = scalar_inv(row[lead])
+        self.pivots[lead] = {e: c * inv for e, c in row.items()}
+        return True
 
     def contains(self, row: Dict[Tuple[int, ...], object]) -> bool:
-        row = {e: c for e, c in row.items() if not is_zero_scalar(c)}
-        while row:
-            lead = min(row, key=self._order)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                return False
-            factor = row[lead]
-            for e, c in pivot.items():
-                v = row.get(e, Fraction(0)) - factor * c
-                if is_zero_scalar(v):
-                    row.pop(e, None)
-                else:
-                    row[e] = v
-        return True
+        return self._reduce(row)[1] is None
 
     @property
     def rank(self) -> int:
@@ -232,6 +219,11 @@ def _monomials_below(nvars: int, k: int):
 
 def _truncate(terms, k):
     return {e: c for e, c in terms.items() if sum(e) < k}
+
+
+def _shifted_row(g: AffinePoly, m, k):
+    """The row of m * g truncated below total degree k."""
+    return _truncate({tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms.items()}, k)
 
 
 def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
@@ -261,12 +253,7 @@ def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
             d = sum(m) + low
             if d >= kmax:
                 continue
-            row = {}
-            for e, c in g.terms.items():
-                key = tuple(a + b for a, b in zip(e, m))
-                if sum(key) < kmax:
-                    row[key] = row.get(key, Fraction(0)) + c
-            batches.setdefault(d, []).append(row)
+            batches.setdefault(d, []).append(_shifted_row(g, m, kmax))
     mons_below = [0] * (kmax + 1)
     for e in mons:
         for k in range(sum(e) + 1, kmax + 1):
@@ -306,12 +293,7 @@ def is_quasi_homogeneous(f_affine: AffinePoly, cutoff: int = 10) -> QuasiHomogen
             if g.is_zero():
                 continue
             for m in mons:
-                row = {}
-                for e, c in g.terms.items():
-                    key = tuple(a + b for a, b in zip(e, m))
-                    if sum(key) < k:
-                        row[key] = row.get(key, Fraction(0)) + c
-                space.insert(row)
+                space.insert(_shifted_row(g, m, k))
         if not space.contains(_truncate(dict(f_affine.terms), k)):
             return QuasiHomogeneity("No", k)
     alg = local_algebra_dim(f_affine, cutoff)
@@ -459,27 +441,18 @@ def _point_on_component(P: Point, comp: CurveComponent) -> bool:
     p1, p2 = P
     try:
         if isinstance(comp, HorizontalSection):
-            return _same_projective(p2, comp.p2)
+            return proportional(p2, comp.p2)
         if isinstance(comp, FibreLine):
-            if not _same_projective(p1, comp.p1):
+            if not proportional(p1, comp.p1):
                 return False
             dot = sum((comp.line[i] * p2[i] for i in range(3)), Fraction(0))
             return is_zero_scalar(dot)
         if isinstance(comp, FibreConic):
-            return _same_projective(p1, comp.p1)
+            return proportional(p1, comp.p1)
     except ValueError:
         # coordinates over unrelated number fields never coincide here
         return False
     return False
-
-
-def _same_projective(a, b) -> bool:
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_scalar(a[i] * b[j] - a[j] * b[i]):
-                return False
-    return True
 
 
 def _make_record(f: BiPoly, P: Point, cutoff: int) -> SingularPointRecord:
@@ -490,13 +463,13 @@ def _make_record(f: BiPoly, P: Point, cutoff: int) -> SingularPointRecord:
 
 def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
     m = pencil.evaluate(p1pt)
-    rank = matrix_rank3(m)
+    rank = matrix_rank(m)
     points: List[Point] = []
     components: List[CurveComponent] = []
     if rank == 3:
         return points, components
     if rank == 2:
-        vertex = normalize_projective(matrix_kernel3(m)[0])
+        vertex = normalize_projective(matrix_kernel(m)[0])
         if all(
             is_zero_scalar(g.evaluate(p1pt, vertex)) for g in (fx0, fx1)
         ):
@@ -509,14 +482,14 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
             if any(not is_zero_scalar(c) for c in row):
                 line = normalize_projective(row)
                 break
-        v1, v2 = matrix_kernel3(m)
+        v1, v2 = matrix_kernel(m)
         q0 = _restricted_to_line(restrict_x(fx0, p1pt), v1, v2)
         q1 = _restricted_to_line(restrict_x(fx1, p1pt), v1, v2)
         if q0.is_zero() and q1.is_zero():
             components.append(FibreLine(p1pt, line))
             return points, components
         g = uv_gcd(q0, q1) if (not q0.is_zero() and not q1.is_zero()) else (q1 if q0.is_zero() else q0)
-        for t in _poly_roots_in_field(g):
+        for t, _mult in uv_roots(g):
             y = tuple(a + t * b for a, b in zip(v1, v2))
             points.append((p1pt, y))
         # parameter at infinity corresponds to v2 itself
@@ -544,35 +517,12 @@ def _binary_quadratic_vanishes_at_infinity(q0: UniPoly, q1: UniPoly) -> bool:
     return is_zero_scalar(lead2(q0)) and is_zero_scalar(lead2(q1))
 
 
-def _poly_roots_in_field(g: UniPoly):
-    if g.degree <= 0:
-        return []
-    if g.degree == 1:
-        return [-g.coeffs[0] * scalar_inv(g.coeffs[1])]
-    if g.is_rational():
-        roots = []
-        for fac, _m in uv_factorize(g):
-            if fac.degree == 1:
-                roots.append(-fac.coeffs[0])
-            else:
-                roots.append(NumberFieldElement.generator(fac))
-        return roots
-    from .fibration import _nf_poly_roots
-
-    roots = _nf_poly_roots(g)
-    if not roots and g.degree >= 2:
-        raise NotImplementedError(
-            "singular point coordinates need a tower of number fields"
-        )
-    return roots
-
-
 def _degenerate_pencil_locus(f, pencil, fx0, fx1):
     """Identically singular pencil (the discriminant vanishes): the kernel of
     M(x) varies as a section x -> c(x), given by an adjugate column."""
     points: List[Point] = []
     components: List[CurveComponent] = []
-    adj = pencil_adjugate(pencil)
+    adj = adjugate3(pencil.entries)
     column = None
     for j in range(3):
         col = tuple(adj[i][j] for i in range(3))
@@ -630,15 +580,12 @@ def _remove_binform_content(column):
 def _binform_divide(a: BinForm, g: BinForm) -> BinForm:
     if a.is_zero():
         return BinForm(a.d - g.d)
-    ua, ug = a.dehomogenized(), g.dehomogenized()
-    q, r = ua.divmod(ug)
+    q, r = a.poly.divmod(g.poly)
     if not r.is_zero():
         raise ValueError("binary form division is not exact")
-    inf = (a.d - ua.degree) - (g.d - ug.degree)
-    if inf < 0:
+    if a.d - a.poly.degree < g.d - g.poly.degree:
         raise ValueError("binary form division is not exact at infinity")
-    coeffs = list(q.coeffs) + [0] * inf
-    return BinForm(a.d - g.d, coeffs)
+    return BinForm(a.d - g.d, q)
 
 
 def _substitute_section(fx: BiPoly, column) -> BinForm:
@@ -659,7 +606,7 @@ def _section_constant(column) -> bool:
     for i in range(3):
         for j in range(i + 1, 3):
             # projective constancy: all 2x2 Wronskian-type minors vanish
-            ci, cj = column[i].dehomogenized(), column[j].dehomogenized()
+            ci, cj = column[i].poly, column[j].poly
             if not (ci * cj.derivative() - cj * ci.derivative()).is_zero():
                 return False
     return True
@@ -708,8 +655,6 @@ def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:
 
 
 def _same_factor(a: BiPoly, b: BiPoly) -> bool:
-    from .factorizer import is_scalar_multiple
-
     try:
         return is_scalar_multiple(a, b)
     except ValueError:
@@ -732,9 +677,9 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
             return FibreLine(p1pt, normalize_projective(line))
         return FibreConic(p1pt)
     if bd1 == (0, 1) and bd2 == (0, 1):
-        l1 = _y_linear_coeffs(f1)
-        l2 = _y_linear_coeffs(f2)
-        kernel = matrix_kernel3((l1, l2, (0, 0, 0)))
+        l1 = y_linear_coeffs(f1)
+        l2 = y_linear_coeffs(f2)
+        kernel = matrix_kernel((l1, l2, (0, 0, 0)))
         if len(kernel) == 1:
             return HorizontalSection(normalize_projective(kernel[0]))
         return PlaneCurveImage("coincident plane sections")
@@ -750,7 +695,8 @@ def _x_linear_root(fac: BiPoly):
     return normalize_projective((c1, -c0))
 
 
-def _y_linear_coeffs(fac: BiPoly):
+def y_linear_coeffs(fac: BiPoly):
+    """The coefficients of y0, y1, y2 in a form of bidegree (0, 1)."""
     return tuple(
         fac.coefficient(((0, 0), tuple(int(i == j) for j in range(3)))) for i in range(3)
     )

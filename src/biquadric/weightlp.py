@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Optional, Set, Tuple
 
-from .bipoly import BiMonomial
+from .bipoly import BiMonomial, cross
 from .oneps import Weight, monomial_weight
 
 Vec3 = Tuple[Fraction, Fraction, Fraction]
@@ -41,14 +41,6 @@ def _dot(a, b) -> Fraction:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b) -> Tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _primitive(v) -> Optional[Tuple[int, int, int]]:
     g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
     if g == 0:
@@ -61,7 +53,7 @@ def _extreme_rays(normals: List[Tuple[int, int, int]]) -> List[Tuple[int, int, i
     n = len(normals)
     for i in range(n):
         for j in range(i + 1, n):
-            c = _primitive(_cross(normals[i], normals[j]))
+            c = _primitive(cross(normals[i], normals[j]))
             if c is None:
                 continue
             for v in (c, (-c[0], -c[1], -c[2])):

@@ -33,15 +33,11 @@ SPARSE_FORMS = 100
 DENSE_FORMS = 40
 
 
-def classify_argv(text: str):
-    return ["classify", "--json", "--", text]
-
-
 def run_classify(text: str):
     """(exit code, stdout) of one in-process ``classify --json`` call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(classify_argv(text))
+        code = cli.run(["classify", "--json", "--", text])
     return code, out.getvalue()
 
 

@@ -10,9 +10,7 @@ from biquadric.bipoly import (
     ParseError,
     act,
     all_monomials,
-    degree_part,
     parse,
-    rehomogenize,
 )
 from conftest import random_poly, random_unimodular
 
@@ -139,24 +137,29 @@ class TestCharts:
         ).dehomogenize((0, 0)).degree_part(2)
         assert d2 == expected
 
-    def test_rehomogenize_round_trip(self):
+    def test_chart_expansion_agrees_with_evaluation(self):
         rng = random.Random(9)
         for _ in range(50):
             f = random_poly(rng, keep=0.5)
-            for chart in ((0, 0), (1, 2), (0, 1)):
-                assert rehomogenize(f.dehomogenize(chart), chart) == f
+            for xi, yj in ((0, 0), (1, 2), (0, 1)):
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
+                y = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+                x[xi], y[yj] = Fraction(1), Fraction(1)
+                p = f.dehomogenize((xi, yj))
+                point = dict(zip(("x0", "x1", "y0", "y1", "y2"), x + y))
+                assert p.evaluate(point) == f.evaluate(x, y)
 
 
 class TestDegreePart:
     def test_homogeneous_input_is_fixed(self):
         q = parse("x0^2*y0^2").dehomogenize((0, 0))
-        assert degree_part(q, 0) == q
+        assert q.degree_part(0) == q
 
     def test_picks_exact_degree(self):
         p = parse("x0*x1*(y0*y2+y1^2)").dehomogenize((0, 0))
         # chart (x0=1, y0=1): x1*y2 has degree 2, x1*y1^2 degree 3
-        assert set(degree_part(p, 2).terms) == {(1, 0, 1)}
-        assert set(degree_part(p, 3).terms) == {(1, 2, 0)}
+        assert set(p.degree_part(2).terms) == {(1, 0, 1)}
+        assert set(p.degree_part(3).terms) == {(1, 2, 0)}
 
     @settings(max_examples=30, deadline=None)
     @given(poly_strategy)
@@ -164,7 +167,7 @@ class TestDegreePart:
         p = f.dehomogenize((0, 0))
         total = None
         for d in range(0, p.total_degree() + 1):
-            piece = degree_part(p, d)
+            piece = p.degree_part(d)
             total = piece if total is None else total + piece
         assert total == p
 

@@ -67,6 +67,13 @@ class TestCertificatePipeline:
         out = run_cli("verify-cert", str(path))
         assert out.returncode == 0 and "verified: True" in out.stdout
 
+    def test_trivial_weight_rejected(self):
+        # mu is 0 for the trivial weight, so a Zero claim would hold for any f
+        report = json.loads(run_cli("classify", "--json", FIXTURES["two_ruled"]).stdout)
+        report["certificate"]["weight"] = "0,0;0,0,0"
+        out = run_cli("verify-cert", "--stdin", stdin=json.dumps(report))
+        assert out.returncode == 3 and "verified: False" in out.stdout
+
     def test_stable_report_has_no_certificate(self):
         report = run_cli("classify", "--json", FIXTURES["stable_higher_sing"]).stdout
         out = run_cli("verify-cert", "--stdin", stdin=report)
@@ -140,3 +147,20 @@ class TestExitCodes:
 
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2
+
+    @pytest.mark.parametrize("args, stdin, code", [
+        (("verify-cert", "--stdin"), {"frame": {"g2": [["1", "0"], ["0", "1"]]},
+                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
+        (("verify-cert", "--stdin"), {"weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
+        (("classify", '{"2,0;2,0,0": null}'), None, 2),
+        (("classify", '{"2,0;2,0,0": [1]}'), None, 2),
+        (("verify-cert", "{missing}"), None, 2),
+    ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
+            "list-coefficient", "missing-cert-file"])
+    def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code):
+        args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
+        if stdin is not None:
+            stdin = json.dumps({"input": {"2,0;2,0,0": "1"}, "certificate": stdin})
+        out = run_cli(*args, stdin=stdin)
+        assert out.returncode == code
+        assert "Traceback" not in out.stderr

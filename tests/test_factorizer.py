@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from biquadric.bipoly import AffinePoly, BiPoly, act, parse
+from biquadric.bipoly import AffinePoly, BiPoly, act, is_scalar_multiple, parse
 from biquadric.factorizer import (
     bihomogeneous_factor,
-    is_scalar_multiple,
     poly_sqrt,
     product_of_factors,
 )

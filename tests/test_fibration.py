@@ -78,7 +78,7 @@ class TestDiscriminant:
     def test_smooth_surface_squarefree_sextic(self):
         disc = discriminant(fibre_matrix(SMOOTH))
         assert disc.d == 6
-        parts = uv_squarefree_decomposition(disc.dehomogenized())
+        parts = uv_squarefree_decomposition(disc.poly)
         assert all(mult == 1 for _, mult in parts)
 
     def test_equivariance(self):

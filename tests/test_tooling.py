@@ -1,0 +1,33 @@
+"""Guards on the layout the benchmark and the dependency policy rely on."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import biquadric.cli  # noqa: F401  (imports every module the tracer looks in)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_tracer_finds_every_layer():
+    # The tracer raises LookupError for a traced function that was renamed or
+    # moved, so such a change fails here and not only in the benchmark.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracing.Tracer()
+
+
+def test_only_scalars_and_factorizer_import_sympy():
+    importers = set()
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "sympy" for n in names):
+                importers.add(path.name)
+    assert importers == {"scalars.py", "factorizer.py"}
