@@ -5,7 +5,8 @@ Subcommands analyze a bidegree-(2,2) form given either in the text grammar
 a JSON coefficient map {"a0,a1;b0,b1,b2": "p/q"}.  Reports are plain text or
 JSON (--json); identical inputs and seeds produce byte-identical output.
 
-Exit codes: 0 success, 2 input parse error, 3 precondition violation.
+Exit codes: 0 success, 2 input parse error, 3 precondition violation (an
+internal error included).
 """
 
 from __future__ import annotations
@@ -421,6 +422,9 @@ def run(argv) -> int:
         return EXIT_PRECONDITION
     except (ValueError, NotImplementedError) as exc:
         sys.stderr.write(f"precondition violation: {exc}\n")
+        return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        sys.stderr.write(f"precondition violation: internal error: {exc}\n")
         return EXIT_PRECONDITION
 
 

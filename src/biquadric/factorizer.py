@@ -1,92 +1,95 @@
 """Factorization of bidegree-(2,2) forms into irreducibles over the algebraic
-closure.
+closure, read off the structure of the form.
 
-The rational factorization is delegated to a mature multivariate routine; the
-only splittings invisible over the rationals are conjugate pairs over a single
-quadratic extension, which are detected structurally: binary quadratics in x
-by their roots, conics in y by their Gram rank, and full (2,2) forms by a
-formal square-root extraction on the x-discriminant B^2 - 4AC.
+Write f = A x0^2 + B x0 x1 + C x1^2 with conics A, B, C in y.  By Gauss's
+lemma f is, over the rationals, its x-content times its y-content times a
+primitive part:
+
+- the x-content is the gcd of the binary quadratics that multiply the six
+  y-monomials; it factors through its roots;
+- the y-content is the common component of the conics: all of them
+  proportional, or a shared line of one of them;
+- a primitive part of bidegree (1,1), (1,2) or (2,1) is irreducible, since
+  every splitting of these bidegrees has a pure factor.  One of bidegree
+  (2,2) is a product P Q of two (1,1) forms iff B^2 - 4AC is a square S^2:
+  with P = p0 x0 + p1 x1 and Q = q0 x0 + q1 x1, A = p0 q0 and
+  (B + S)/2 = p0 q1, so p0 is the line of A that divides (B + S)/2.
+
+The splittings invisible over the rationals are conjugate pairs over one
+quadratic field: binary quadratics in x by their roots, conics in y by their
+Gram rank, and (2,2) forms whose S needs sqrt(d), split by the same (1,1)
+construction over Q(sqrt(d)).
+
+The rational factors are primitive over the integers with a positive
+coefficient at the lex-leading monomial (x0 > x1 > y0 > y1 > y2), repeated
+factors grouped, and listed in the order of sympy's ``factor_list``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import sympy
-
-from .bipoly import AffinePoly, BiPoly
-from .fibration import conic_coefficients, conic_of, split_conic
+from .bipoly import AffinePoly, BiPoly, Y_VARS
+from .fibration import (
+    BinForm,
+    binform_gcd,
+    common_component,
+    conic_coefficients,
+    line_divides_conic,
+    split_conic,
+)
 from .scalars import (
     NumberFieldElement,
-    UniPoly,
     as_fraction,
     is_zero_scalar,
     scalar_inv,
-    uv_roots,
+    squarefree_part,
 )
 
-_SYMS = sympy.symbols("x0 x1 y0 y1 y2")
-
-
-def _to_sympy_expr(f: BiPoly):
-    expr = sympy.Integer(0)
-    for (alpha, beta), c in f.terms.items():
-        if isinstance(c, NumberFieldElement):
-            raise TypeError("factorization requires rational coefficients")
-        term = sympy.Rational(c.numerator, c.denominator)
-        for sym, e in zip(_SYMS, alpha + beta):
-            if e:
-                term = term * sym ** e
-        expr = expr + term
-    return expr
+Factor = Tuple[Tuple[int, int], BiPoly]
 
 
 def _rational_sqrt(c: Fraction) -> Optional[Fraction]:
     if c < 0:
         return None
-    num = sympy.Integer(c.numerator)
-    den = sympy.Integer(c.denominator)
-    rn = sympy.integer_nthroot(num, 2)
-    rd = sympy.integer_nthroot(den, 2)
-    if rn[1] and rd[1]:
-        return Fraction(int(rn[0]), int(rd[0]))
+    rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
+    if rn * rn == c.numerator and rd * rd == c.denominator:
+        return Fraction(rn, rd)
     return None
 
 
 def poly_sqrt(delta: AffinePoly) -> Optional[AffinePoly]:
-    """Formal square root of a polynomial, allowing one quadratic scalar
-    extension for the leading coefficient; None certifies it is not a square.
+    """Formal square root of a rational polynomial, allowing one quadratic
+    scalar extension Q(sqrt(d)), d a squarefree integer, for the leading
+    coefficient; None certifies it is not a square.
     """
     if delta.is_zero():
         return AffinePoly(delta.vars)
     lead = max(delta.terms)
-    if any(e % 2 for e in lead):
-        return None
-    half = tuple(e // 2 for e in lead)
     c = delta.terms[lead]
-    if isinstance(c, NumberFieldElement):
+    if isinstance(c, NumberFieldElement) or any(e % 2 for e in lead):
         return None
-    root = _rational_sqrt(c)
-    if root is None:
-        # t^2 - c is irreducible since c is not a rational square
-        lead_coeff = NumberFieldElement(UniPoly([-c, Fraction(0), Fraction(1)]), UniPoly.gen())
-    else:
-        lead_coeff = root
-    s = AffinePoly(delta.vars, {half: lead_coeff})
-    inv_twice = scalar_inv(2 * lead_coeff)
+    # the root of delta / c with leading coefficient 1, then scaled by sqrt(c)
+    monic = delta * (1 / c)
+    half = tuple(e // 2 for e in lead)
+    s = AffinePoly(delta.vars, {half: 1})
     while True:
-        residual = delta - s * s
+        residual = monic - s * s
         if residual.is_zero():
-            return s
+            break
         lt = max(residual.terms)
         diff = tuple(a - b for a, b in zip(lt, half))
         if any(d < 0 for d in diff) or diff >= half:
             return None
-        s = s + AffinePoly(delta.vars, {diff: residual.terms[lt] * inv_twice})
-
-
-Factor = Tuple[Tuple[int, int], BiPoly]
+        s = s + AffinePoly(delta.vars, {diff: residual.terms[lt] / 2})
+    root = _rational_sqrt(c)
+    if root is None:
+        # sqrt(c) = r sqrt(d); t^2 - d is irreducible since c is not a square
+        d = squarefree_part(c)
+        root = NumberFieldElement((-d, 0, 1), (Fraction(0), _rational_sqrt(c / d)))
+    return s * root
 
 
 def bihomogeneous_factor(f: BiPoly) -> List[Factor]:
@@ -98,142 +101,251 @@ def bihomogeneous_factor(f: BiPoly) -> List[Factor]:
         raise ValueError("cannot factor the zero polynomial")
     if f.bidegree != (2, 2):
         raise ValueError("factorization is specific to bidegree (2, 2)")
-    expr = _to_sympy_expr(f)
-    _coeff, rational_factors = sympy.factor_list(expr, *_SYMS)
+    grouped: dict = {}
+    for fac, pieces in _rational_factors(f):
+        grouped.setdefault(fac, [pieces, 0])[1] += 1
     out: List[Factor] = []
-    for fac_expr, mult in rational_factors:
-        fac = _bipoly_from_expr(fac_expr)
-        for piece in _split_geometric(fac):
+    for fac, (pieces, mult) in sorted(grouped.items(), key=lambda kv: _sympy_key(kv[0], kv[1][1])):
+        for piece in pieces:
             out.extend([(piece.bidegree, piece)] * mult)
     return out
 
 
-def _bipoly_from_expr(expr) -> BiPoly:
-    poly = sympy.Poly(expr, *_SYMS)
-    terms = {}
-    for exps, coeff in poly.terms():
-        alpha = (exps[0], exps[1])
-        beta = (exps[2], exps[3], exps[4])
-        r = sympy.Rational(coeff)
-        terms[(alpha, beta)] = Fraction(r.p, r.q)
-    return BiPoly(_infer_bidegree(terms), terms)
-
-
-def _infer_bidegree(terms) -> Tuple[int, int]:
-    (alpha, beta) = next(iter(terms))
-    return (sum(alpha), sum(beta))
-
-
-def _split_geometric(fac: BiPoly) -> List[BiPoly]:
-    """Split a rationally irreducible bihomogeneous factor over the closure."""
-    d1, d2 = fac.bidegree
-    if (d1, d2) == (2, 0):
-        return _split_binary_x(fac)
-    if (d1, d2) == (0, 2):
-        return _split_conic_factor(fac)
-    if (d1, d2) == (2, 2):
-        return _split_22(fac)
-    # bidegrees (1,0), (0,1), (1,1), (2,1), (1,2): a conjugate-pair split
-    # would force equal bidegrees on both parts, which is impossible here,
-    # so rational irreducibility already implies geometric irreducibility
-    return [fac]
-
-
-def _split_binary_x(fac: BiPoly) -> List[BiPoly]:
-    """A rationally irreducible binary quadratic in x: two conjugate lines."""
-    c20 = fac.coefficient(((2, 0), (0, 0, 0)))
-    c11 = fac.coefficient(((1, 1), (0, 0, 0)))
-    c02 = fac.coefficient(((0, 2), (0, 0, 0)))
-    # roots of c20 + c11 t + c02 t^2 = 0 for t = x1/x0 (both extreme
-    # coefficients are nonzero since the form is irreducible over Q)
-    poly = UniPoly([c20, c11, c02]).monic()
-    (alpha, _mult), = uv_roots(poly)
-    beta = -poly.coeffs[1] - alpha
+def _rational_factors(f: BiPoly) -> List[Tuple[BiPoly, List[BiPoly]]]:
+    """The irreducible factors of f over the rationals, with repetition, each
+    paired with its split over the closure."""
     out = []
-    for root in (alpha, beta):
-        out.append(BiPoly((1, 0), {((1, 0), (0, 0, 0)): -root, ((0, 1), (0, 0, 0)): 1}))
+    cx = _x_content(f)
+    if cx.d:
+        out.extend(_x_factors(cx))
+        f = _quotient(f, _x_form(cx))
+    cy = common_component(_x_coefficient_conics(f))
+    if cy is not None:
+        out.extend(_y_factors(cy))
+        f = _quotient(f, _y_form(cy))
+    if f.bidegree == (2, 2):
+        out.extend(_primitive_22_factors(f))
+    elif f.bidegree != (0, 0):
+        fac = _primitive(f)
+        out.append((fac, [fac]))
     return out
 
 
-def _split_conic_factor(fac: BiPoly) -> List[BiPoly]:
-    lines = split_conic(conic_of(fac))
+def _x_content(f: BiPoly) -> BinForm:
+    """The gcd of the binary quadratics that multiply the y-monomials."""
+    forms: dict = {}
+    for (alpha, beta), c in f.terms.items():
+        forms.setdefault(beta, [Fraction(0)] * 3)[alpha[1]] = c
+    g = BinForm(2)
+    for coeffs in forms.values():
+        g = binform_gcd(g, BinForm(2, coeffs))
+        if g.d == 0:
+            break
+    return g
+
+
+def _x_coefficient_conics(f: BiPoly) -> List[AffinePoly]:
+    """The nonzero conics in y that multiply the x-monomials of f."""
+    conics: dict = {}
+    for (alpha, beta), c in f.terms.items():
+        conics.setdefault(alpha, {})[beta] = c
+    return [AffinePoly(Y_VARS, terms) for terms in conics.values()]
+
+
+def _x_form(b: BinForm) -> BiPoly:
+    return BiPoly((b.d, 0), {((b.d - i, i), (0, 0, 0)): c for i, c in enumerate(b.coeffs)})
+
+
+def _y_form(q: AffinePoly) -> BiPoly:
+    return BiPoly((0, q.total_degree()), {((0, 0), e): c for e, c in q.terms.items()})
+
+
+def _x_factors(cx: BinForm):
+    out = []
+    for (p0, p1), mult in cx.roots():
+        if isinstance(p1, NumberFieldElement):
+            # an irreducible quadratic: the lines x1 - r x0 at its root r = p1
+            # and at the conjugate root -m1 - r, m1 the linear coefficient of
+            # the minimal polynomial
+            pieces = [
+                BiPoly((1, 0), {((1, 0), (0, 0, 0)): -r, ((0, 1), (0, 0, 0)): 1})
+                for r in (p1, -p1.modulus[1] - p1)
+            ]
+            return [(_primitive(_x_form(cx)), pieces)]
+        # the linear form vanishing at [p0 : p1]
+        line = _primitive(BiPoly((1, 0), {((1, 0), (0, 0, 0)): p1, ((0, 1), (0, 0, 0)): -p0}))
+        out.extend([(line, [line])] * mult)
+    return out
+
+
+def _y_factors(cy: AffinePoly):
+    fac = _primitive(_y_form(cy))
+    lines = split_conic(cy) if fac.bidegree == (0, 2) else None
     if lines is None:
-        return [fac]
-    out = []
-    for line in lines:
-        out.append(
-            BiPoly(
-                (0, 1),
-                {((0, 0), tuple(int(i == j) for j in range(3))): line[i] for i in range(3)},
-            )
-        )
+        return [(fac, [fac])]
+    pieces = [_y_line(line) for line in lines]
+    if any(isinstance(c, NumberFieldElement) for c in lines[0]):
+        return [(fac, pieces)]  # two conjugate lines
+    return [(line, [line]) for line in map(_primitive, pieces)]
+
+
+def _primitive_22_factors(g: BiPoly):
+    """A primitive (2,2) form: irreducible, two rational (1,1) forms, or a
+    rational form that splits into two conjugate (1,1) forms."""
+    A, B, C = conic_coefficients(g)
+    s = poly_sqrt(B * B - A * C * 4)
+    if s is None:
+        fac = _primitive(g)
+        return [(fac, [fac])]
+    modulus = next(
+        (c.modulus for c in s.terms.values() if isinstance(c, NumberFieldElement)), None
+    )
+    pair = _bilinear_pair(A, B, C, s, modulus)
+    if modulus is None:
+        return [(fac, [fac]) for fac in map(_primitive, pair)]
+    pieces = sorted((_monic(p, modulus) for p in pair), key=_sympy_conjugate_key)
+    return [(_primitive(g), pieces)]
+
+
+def _bilinear_pair(A, B, C, s, modulus) -> Tuple[BiPoly, BiPoly]:
+    """P and Q with A x0^2 + B x0 x1 + C x1^2 = P Q up to a scalar, given
+    s^2 = B^2 - 4AC over the rationals or over Q[t]/(modulus).
+
+    With A = p0 q0, M = (B + s)/2 = p0 q1 and N = (B - s)/2 = p1 q0: a line
+    l = k p0 of A divides M, and then A / l = q0 / k, M / l = q1 / k and
+    N / (A / l) = k p1.
+    """
+    m = (B + s) * Fraction(1, 2)
+    n = (B - s) * Fraction(1, 2)
+    for line in split_conic(A) or ():
+        line = tuple(_in_field(c, modulus) for c in line)
+        if None in line or not line_divides_conic(line, m):
+            continue
+        q0 = _line_quotient(A, line)
+        p = _bilinear(line, _line_quotient(n, q0))
+        q = _bilinear(q0, _line_quotient(m, line))
+        return p, q
+    raise RuntimeError("no line of A divides (B + S)/2")
+
+
+def _in_field(c, modulus):
+    """c, rational or in a quadratic field, written over Q[t]/(t^2 - d) with
+    modulus = (-d, 0, 1); None if c lies outside that field."""
+    if not isinstance(c, NumberFieldElement) or c.modulus == modulus:
+        return c
+    if modulus is None:
+        return None
+    # c = a + b t with t^2 + m1 t + m0 = 0, so t = (-m1 + sqrt(m1^2 - 4 m0)) / 2
+    m0, m1, _one = c.modulus
+    r = _rational_sqrt((m1 * m1 - 4 * m0) / -modulus[0])
+    if r is None:
+        return None
+    a, b = (c.residue + (Fraction(0), Fraction(0)))[:2]
+    return NumberFieldElement(modulus, (a - b * m1 / 2, b * r / 2))
+
+
+def _line_quotient(q: AffinePoly, line):
+    """The linear form m, a coefficient triple, with line * m = q."""
+    k = next(i for i in range(3) if not is_zero_scalar(line[i]))
+    inv = scalar_inv(line[k])
+
+    def coeff(i, j):
+        return q.coefficient(tuple(int(t == i) + int(t == j) for t in range(3)))
+
+    mk = coeff(k, k) * inv
+    return tuple(mk if j == k else (coeff(k, j) - line[j] * mk) * inv for j in range(3))
+
+
+def _bilinear(l0, l1) -> BiPoly:
+    """The (1,1) form l0 x0 + l1 x1 for linear forms l0, l1 in y."""
+    terms = {}
+    for alpha, line in (((1, 0), l0), ((0, 1), l1)):
+        for j in range(3):
+            terms[(alpha, tuple(int(t == j) for t in range(3)))] = line[j]
+    return BiPoly((1, 1), terms)
+
+
+def _y_line(line) -> BiPoly:
+    return BiPoly((0, 1), {((0, 0), tuple(int(i == j) for j in range(3))): line[i] for i in range(3)})
+
+
+def _quotient(f: BiPoly, d: BiPoly) -> BiPoly:
+    """f / d for a divisor d of f, by division of lex-leading terms."""
+    rem = dict(f.terms)
+    (da, db) = lead = max(d.terms)
+    inv = scalar_inv(d.terms[lead])
+    out: dict = {}
+    while rem:
+        (a, b) = top = max(rem)
+        qa = (a[0] - da[0], a[1] - da[1])
+        qb = (b[0] - db[0], b[1] - db[1], b[2] - db[2])
+        q = out[(qa, qb)] = rem[top] * inv
+        for (ea, eb), e in d.terms.items():
+            mono = ((qa[0] + ea[0], qa[1] + ea[1]), (qb[0] + eb[0], qb[1] + eb[1], qb[2] + eb[2]))
+            rest = rem.get(mono, 0) - q * e
+            if is_zero_scalar(rest):
+                rem.pop(mono, None)
+            else:
+                rem[mono] = rest
+    return BiPoly((f.bidegree[0] - d.bidegree[0], f.bidegree[1] - d.bidegree[1]), out)
+
+
+def _primitive(f: BiPoly) -> BiPoly:
+    """f scaled to coprime integer coefficients, positive at the lex-leading
+    monomial; terms in descending lex order."""
+    keys = sorted(f.terms, reverse=True)
+    cs = [as_fraction(f.terms[m]) for m in keys]
+    den = math.lcm(*(c.denominator for c in cs))
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*nums) * (1 if nums[0] > 0 else -1)
+    out = BiPoly(f.bidegree)
+    out.terms = {m: Fraction(n // g) for m, n in zip(keys, nums)}
     return out
 
 
-def _split_22(fac: BiPoly) -> List[BiPoly]:
-    """A rationally irreducible (2,2) form either stays irreducible or splits
-    into two conjugate (1,1) forms over one quadratic extension; the split
-    exists iff the x-discriminant is a perfect square over the closure."""
-    A, B, C = conic_coefficients(fac)
-    delta = B * B - A * C * 4
-    s = poly_sqrt(delta)
-    if s is None:
-        return [fac]
-    ext = _extension_of(s)
-    if ext is None:
-        # a rational square discriminant would give rational factors,
-        # contradicting rational irreducibility
-        return [fac]
-    ext = _squarefree_part(ext)
-    sqrt_expr = sympy.sqrt(sympy.Rational(ext.numerator, ext.denominator))
-    _coeff, factors = sympy.factor_list(_to_sympy_expr(fac), *_SYMS, extension=sqrt_expr)
-    pieces = []
-    for fe, mult in factors:
-        piece = _bipoly_from_nf_expr(fe, sqrt_expr, ext)
-        pieces.extend([piece] * mult)
-    if len(pieces) < 2:
-        return [fac]
-    return pieces
+def _monic(f: BiPoly, modulus) -> BiPoly:
+    """f over Q[t]/(modulus), scaled to 1 at the lex-leading monomial; terms
+    in descending lex order."""
+    keys = sorted(f.terms, reverse=True)
+    inv = scalar_inv(f.terms[keys[0]])
+    out = BiPoly(f.bidegree)
+    terms = {}
+    for m in keys:
+        c = f.terms[m] * inv
+        terms[m] = c if isinstance(c, NumberFieldElement) else NumberFieldElement.from_rational(modulus, c)
+    out.terms = terms
+    return out
 
 
-def _squarefree_part(d: Fraction) -> Fraction:
-    """The squarefree integer generating the same quadratic field as sqrt(d)."""
-    n = d.numerator * d.denominator  # sqrt(p/q) and sqrt(pq) generate the same field
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = sign
-    for p, e in sympy.factorint(n).items():
-        if e % 2:
-            out *= int(p)
-    return Fraction(out)
+def _dense(terms: dict, u: int):
+    """sympy's dense recursive coefficient list of a polynomial in u + 1
+    variables, given as an exponent-tuple -> coefficient map."""
+    if not terms:
+        out: list = []
+        for _ in range(u):
+            out = [out]
+        return out
+    top = max(e[0] for e in terms)
+    if u == 0:
+        return [terms.get((i,), 0) for i in range(top, -1, -1)]
+    return [
+        _dense({e[1:]: c for e, c in terms.items() if e[0] == i}, u - 1)
+        for i in range(top, -1, -1)
+    ]
 
 
-def _extension_of(s: AffinePoly) -> Optional[Fraction]:
-    """The rational d with coefficients of s in Q(sqrt(d)), if irrational."""
-    for c in s.terms.values():
-        if isinstance(c, NumberFieldElement):
-            modulus = c.modulus  # t^2 - d
-            return -as_fraction(modulus[0])
-    return None
+def _sympy_key(fac: BiPoly, mult: int):
+    """sympy's factor order, ``(len(rep), gens, exp, domain, rep)`` with the
+    five generators and the integers fixed."""
+    rep = _dense({a + b: int(c) for (a, b), c in fac.terms.items()}, 4)
+    return (len(rep), mult, rep)
 
 
-def _bipoly_from_nf_expr(expr, sqrt_expr, d: Fraction) -> BiPoly:
-    modulus = (-d, Fraction(0), Fraction(1))
-    poly = sympy.Poly(sympy.expand(expr), *_SYMS)
-    terms: dict = {}
-    for exps, coeff in poly.terms():
-        key = ((exps[0], exps[1]), (exps[2], exps[3], exps[4]))
-        # write the coefficient as a + b*sqrt(d) with rational a, b
-        cc = sympy.radsimp(sympy.expand(coeff))
-        b = sympy.together(cc.coeff(sqrt_expr))
-        a = sympy.simplify(cc - b * sqrt_expr)
-        ra, rb = sympy.Rational(a), sympy.Rational(b)
-        val = NumberFieldElement(
-            modulus, [Fraction(ra.p, ra.q), Fraction(rb.p, rb.q)]
-        )
-        if not is_zero_scalar(val):
-            terms[key] = val
-    return BiPoly(_infer_bidegree(terms), terms)
+def _sympy_conjugate_key(piece: BiPoly):
+    """sympy's order of two conjugate pieces over Q(sqrt(d)): their
+    coefficients in descending lex order, each as the list [b, a] of
+    a + b sqrt(d) with leading zeros dropped."""
+    return [list(reversed(c.residue)) for c in piece.terms.values()]
 
 
 def _factor_field(fac: BiPoly):
@@ -278,4 +390,3 @@ def product_of_factors(factors: List[Factor]) -> BiPoly:
     for p in partials[1:]:
         acc = acc * p
     return acc
-

@@ -83,11 +83,18 @@ class BinForm:
     __rmul__ = __mul__
 
     def evaluate(self, p):
-        """Value at a P^1 point given by a coordinate pair of scalars."""
+        """Value at a P^1 point given by a coordinate pair of scalars:
+        Horner's rule in p0 on the coefficients times powers of p1."""
         p0, p1 = p
-        if is_zero_scalar(p0):
-            return self.coeffs[self.d] * p1 ** self.d
-        return self.poly.evaluate(p1 * scalar_inv(p0)) * p0 ** self.d
+        acc = Fraction(0)
+        p1_power = Fraction(1)
+        for i, c in enumerate(self.coeffs):
+            if i:
+                acc = acc * p0
+                p1_power = p1_power * p1
+            if not is_zero_scalar(c):
+                acc = acc + c * p1_power
+        return acc
 
     def roots(self) -> List[Tuple[Tuple[object, object], int]]:
         """Roots in P^1 with multiplicities, as found by ``uv_roots``.
@@ -385,22 +392,27 @@ def contracted_sections(f: BiPoly) -> Union[FiniteSections, CurveOfSections]:
     These are the common zeros of the conics A, B, C; a shared component is
     reported as a curve.
     """
-    A, B, C = conic_coefficients(f)
-    conics = [q for q in (A, B, C) if not q.is_zero()]
+    conics = [q for q in conic_coefficients(f) if not q.is_zero()]
     if not conics:
         raise ValueError("zero polynomial")
-    if len(conics) == 1:
-        return CurveOfSections(conics[0])
-    if all(is_scalar_multiple(conics[0], q) for q in conics[1:]):
-        return CurveOfSections(conics[0])
-    lines = split_conic(conics[0])
-    if lines is not None:
-        for line in lines:
-            if all(line_divides_conic(line, q) for q in conics[1:]):
-                return CurveOfSections(
-                    AffinePoly(Y_VARS, {tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
-                )
+    component = common_component(conics)
+    if component is not None:
+        return CurveOfSections(component)
     return FiniteSections(tuple(_common_conic_points(conics)))
+
+
+def common_component(conics) -> Optional[AffinePoly]:
+    """The common component of nonzero conics: the first conic if they are
+    all proportional, else a line of the first conic dividing every other
+    one, else None.  For rational conics a shared line that is not the whole
+    conic is rational, since its conjugate would be shared too."""
+    first, rest = conics[0], conics[1:]
+    if all(is_scalar_multiple(first, q) for q in rest):
+        return first
+    for line in split_conic(first) or ():
+        if all(line_divides_conic(line, q) for q in rest):
+            return AffinePoly(Y_VARS, {tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
+    return None
 
 
 def _y2_profile(q: AffinePoly):

@@ -272,6 +272,16 @@ def uv_factorize(p: UniPoly):
     return [(_from_sympy(f).monic(), int(m)) for f, m in factors]
 
 
+def squarefree_part(c: Fraction) -> int:
+    """The squarefree integer d with Q(sqrt(c)) = Q(sqrt(d)), for nonzero c."""
+    n = c.numerator * c.denominator  # sqrt(p/q) and sqrt(pq) generate the same field
+    out = -1 if n < 0 else 1
+    for p, e in sympy.factorint(abs(n)).items():
+        if e % 2:
+            out *= int(p)
+    return out
+
+
 def uv_is_irreducible(p: UniPoly) -> bool:
     if p.degree < 1:
         return False

@@ -148,6 +148,18 @@ class TestExitCodes:
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2
 
+    def test_internal_error_exits_3(self, monkeypatch, capsys):
+        from biquadric import cli
+
+        def fail(_f):
+            raise RuntimeError("unhandled factor bidegrees: [(0, 2), (2, 0)]")
+
+        monkeypatch.setattr(cli, "classify", fail)
+        assert cli.run(["classify", "--json", "x0^2*y0^2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violation: ")
+        assert "unhandled factor bidegrees" in err
+
     @pytest.mark.parametrize("args, stdin, code", [
         (("verify-cert", "--stdin"), {"frame": {"g2": [["1", "0"], ["0", "1"]]},
                                       "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),

@@ -1,16 +1,20 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from biquadric.bipoly import AffinePoly, BiPoly, act, is_scalar_multiple, parse
+from biquadric.bipoly import AffinePoly, BiPoly, act, all_monomials, is_scalar_multiple, parse
+from biquadric.fibration import conic_of, split_conic
 from biquadric.factorizer import (
     bihomogeneous_factor,
     poly_sqrt,
     product_of_factors,
 )
-from biquadric.scalars import NumberFieldElement
-from conftest import random_poly, random_unimodular
+from biquadric.scalars import NumberFieldElement, UniPoly, uv_roots
+from conftest import FIXTURES, random_poly, random_unimodular
+from make_golden import CORPUS_PATH, factor_patterns
 
 IRREDUCIBLE = parse(
     "x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2)"
@@ -160,3 +164,155 @@ class TestIsScalarMultiple:
         f = parse("x0^2*y0^2 + x1^2*y2^2")
         g = parse("x0^2*y0^2 + 2*x1^2*y2^2")
         assert not is_scalar_multiple(f, g)
+
+
+class TestGoldenConjugatePair:
+    def test_conjugate_11_pair_splits_over_sqrt2(self):
+        # P^2 - 2 Q^2 for random (1,1) forms P, Q: once a multi-second
+        # factorization over Q(sqrt 2)
+        entry = next(e for e in json.loads(CORPUS_PATH.read_text())
+                     if e["name"] == "pattern:conjugate-(1,1)-pair")
+        f = parse(entry["text"])
+        factors = bihomogeneous_factor(f)
+        assert bidegrees(factors) == [(1, 1), (1, 1)]
+        moduli = {c.modulus for _bd, p in factors for c in p.terms.values()}
+        assert moduli == {(Fraction(-2), Fraction(0), Fraction(1))}
+        assert is_scalar_multiple(product_of_factors(factors), f)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the multivariate sympy.factor_list route that the
+# structural factorization replaced, kept here as the oracle.
+
+_SYMS = sympy.symbols("x0 x1 y0 y1 y2")
+
+
+def _to_sympy(f: BiPoly):
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[s ** e for s, e in zip(_SYMS, alpha + beta)])
+        for (alpha, beta), c in f.terms.items()
+    ])
+
+
+def _from_sympy_poly(poly, convert) -> BiPoly:
+    terms = {((e[0], e[1]), (e[2], e[3], e[4])): convert(c) for e, c in poly.terms()}
+    (alpha, beta) = next(iter(terms))
+    return BiPoly((sum(alpha), sum(beta)), terms)
+
+
+def _reference_factor(f: BiPoly):
+    _coeff, factors = sympy.factor_list(_to_sympy(f), *_SYMS)
+    out = []
+    for expr, mult in factors:
+        fac = _from_sympy_poly(
+            sympy.Poly(expr, *_SYMS), lambda c: Fraction(int(c.p), int(c.q)))
+        for piece in _reference_split(fac):
+            out.extend([(piece.bidegree, piece)] * mult)
+    return out
+
+
+def _reference_split(fac: BiPoly):
+    """Split a rationally irreducible factor over the closure; a (2,2) factor
+    splits over Q(sqrt d) iff B^2 - 4AC is a constant times a square, with d
+    the squarefree part of its leading coefficient."""
+    if fac.bidegree == (2, 0):
+        poly = UniPoly([fac.coefficient(((2 - i, i), (0, 0, 0))) for i in range(3)]).monic()
+        (alpha, _mult), = uv_roots(poly)
+        return [
+            BiPoly((1, 0), {((1, 0), (0, 0, 0)): -root, ((0, 1), (0, 0, 0)): 1})
+            for root in (alpha, -poly.coeffs[1] - alpha)
+        ]
+    if fac.bidegree == (0, 2):
+        lines = split_conic(conic_of(fac))
+        if lines is None:
+            return [fac]
+        return [
+            BiPoly((0, 1), {((0, 0), tuple(int(i == j) for j in range(3))): line[i] for i in range(3)})
+            for line in lines
+        ]
+    if fac.bidegree != (2, 2):
+        return [fac]
+    x0, x1 = _SYMS[:2]
+    expr = _to_sympy(fac)
+    a, c = expr.coeff(x0, 2), expr.coeff(x1, 2)
+    b = expr.coeff(x0, 1).coeff(x1, 1)
+    delta = sympy.expand(b * b - 4 * a * c)
+    if any(m % 2 for _f, m in sympy.factor_list(delta)[1]):
+        return [fac]
+    lead = sympy.Poly(delta, *_SYMS[2:]).LC()
+    d = sympy.sign(lead) * sympy.Mul(*[
+        p for p, e in sympy.factorint(abs(lead.p * lead.q)).items() if e % 2])
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d))
+    assert field.mod.to_list() == [1, 0, -d]
+    modulus = (Fraction(-int(d)), Fraction(0), Fraction(1))
+
+    def convert(anp):
+        residue = [Fraction(int(q.numerator), int(q.denominator)) for q in reversed(anp.to_list())]
+        return NumberFieldElement(modulus, residue)
+
+    pieces = []
+    for piece, mult in sympy.factor_list(expr, *_SYMS, extension=sympy.sqrt(d))[1]:
+        poly = sympy.Poly(piece, *_SYMS, domain=field)
+        terms = {((e[0], e[1]), (e[2], e[3], e[4])): convert(c) for e, c in poly.rep.terms()}
+        pieces.extend([BiPoly((1, 1), terms)] * mult)
+    return pieces
+
+
+def _listing(factors):
+    """Bidegrees, terms in stored order, coefficient types and values."""
+    return [
+        (bd, [(m, type(c).__name__, c) for m, c in p.terms.items()])
+        for bd, p in factors
+    ]
+
+
+def _bipoly(rng, bidegree, keep, lo=-2, hi=2):
+    while True:
+        f = BiPoly(bidegree, {
+            m: Fraction(rng.randint(lo, hi))
+            for m in all_monomials(bidegree) if rng.random() < keep
+        })
+        if not f.is_zero():
+            return f
+
+
+def _differential_inputs():
+    rng = random.Random(20261017)
+    out = []
+    for _ in range(10):
+        for name, f in factor_patterns(rng).items():
+            if name == "conjugate-(1,1)-pair":
+                continue  # dense P, Q take seconds in the oracle; sparse pairs below
+            out.append((name, f))
+            out.append((name + " moved", act(random_unimodular(rng), f)))
+    for name, text in FIXTURES.items():
+        for k in range(2):
+            out.append((f"fixture {name} moved", act(random_unimodular(rng), parse(text))))
+    for k in range(50):
+        out.append(("dense", random_poly(rng)))
+    for k in range(40):
+        out.append(("sparse", random_poly(rng, lo=-2, hi=2, keep=0.35)))
+    for d in (2, -1, 3, -2, Fraction(1, 2), 12, -3, 5):
+        while True:
+            p = _bipoly(rng, (1, 1), 0.4, -1, 1)
+            q = _bipoly(rng, (1, 1), 0.4, -1, 1)
+            f = p * p - q * q * d
+            # sparse P, Q often share a factor; keep P^2 - d Q^2 irreducible over Q
+            if len(sympy.factor_list(_to_sympy(f), *_SYMS)[1]) == 1:
+                break
+        out.append((f"conjugate (1,1) pair, d = {d}", f))
+    return out
+
+
+class TestAgainstSympyFactorList:
+    def test_same_factor_list_as_sympy_route(self):
+        inputs = _differential_inputs()
+        assert len(inputs) >= 500
+        mismatched = []
+        for name, f in inputs:
+            factors = bihomogeneous_factor(f)
+            assert is_scalar_multiple(product_of_factors(factors), f), name
+            if _listing(factors) != _listing(_reference_factor(f)):
+                mismatched.append(f"{name}: {f!r}")
+        assert not mismatched, "\n".join(mismatched)

@@ -18,7 +18,7 @@ from biquadric.fibration import (
     phi_sigma_constant,
     ramified_along,
 )
-from biquadric.scalars import uv_squarefree_decomposition
+from biquadric.scalars import NumberFieldElement, UniPoly, scalar_inv, uv_squarefree_decomposition
 from conftest import random_poly
 
 SMOOTH = parse("x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2) + x1^2*(y0^2+2*y1^2+3*y2^2+y0*y2)")
@@ -218,3 +218,37 @@ class TestBinFormGcd:
         a = BinForm(2, (Fraction(1), Fraction(0), Fraction(1)))
         z = BinForm(2, (Fraction(0),) * 3)
         assert binform_gcd(a, z).coeffs == a.coeffs
+
+
+class TestBinFormEvaluate:
+    @staticmethod
+    def dehomogenized_value(form, p):
+        """The value through the affine chart: poly(p1 / p0) * p0^d."""
+        p0, p1 = p
+        if p0 == 0:
+            return form.coeffs[form.d] * p1 ** form.d
+        return form.poly.evaluate(p1 * scalar_inv(p0)) * p0 ** form.d
+
+    def test_matches_dehomogenized_value(self):
+        rng = random.Random(17)
+        sqrt2 = NumberFieldElement((-2, 0, 1), (0, 1))
+        cubic = NumberFieldElement((-2, 0, 0, 1), (1, 0, 1))
+        for _ in range(60):
+            d = rng.randint(0, 6)
+            form = BinForm(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d + 1)])
+            r = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))  # noqa: E731
+            for p in [
+                (r(), r()),
+                (Fraction(0), r()),
+                (sqrt2 * r() + r(), sqrt2 * r() + r()),
+                (NumberFieldElement((-2, 0, 1), (1,)), sqrt2 * r() + r()),
+                (cubic * r() + r(), cubic * cubic * r() + r()),
+            ]:
+                if p[0] == 0 and p[1] == 0:
+                    continue
+                assert form.evaluate(p) == self.dehomogenized_value(form, p)
+
+    def test_root_at_infinity(self):
+        form = BinForm(3, UniPoly([1, 2]))  # x0^3 + 2 x0^2 x1: root [0 : 1] twice
+        assert form.evaluate((Fraction(0), Fraction(5))) == 0
+        assert form.evaluate((Fraction(1), Fraction(5))) == 11

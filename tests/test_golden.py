@@ -3,7 +3,8 @@
 Every input must give the same exit code and byte-identical ``classify
 --json`` stdout as when the corpus was recorded.  The one allowed change is a
 recorded failure that now gets a verdict, and only if that verdict's
-certificate verifies.
+certificate verifies.  Every certificate a verdict carries must verify
+against its input.
 """
 
 import json
@@ -14,8 +15,13 @@ from make_golden import CORPUS_PATH, run_classify, summary
 
 
 def _newly_supported(text: str, stdout: str) -> bool:
+    return json.loads(stdout)["certificate"] is not None and _certificate_verifies(text, stdout)
+
+
+def _certificate_verifies(text: str, stdout: str) -> bool:
+    """True unless the report carries a certificate that fails to verify."""
     cert = json.loads(stdout)["certificate"]
-    return cert is not None and cert_from_json(cert).verify(parse(text))
+    return cert is None or cert_from_json(cert).verify(parse(text))
 
 
 def test_golden_corpus_replays():
@@ -25,6 +31,8 @@ def test_golden_corpus_replays():
     for entry in entries:
         code, stdout = run_classify(entry["text"])
         now = summary(code, stdout)
+        if code == 0 and not _certificate_verifies(entry["text"], stdout):
+            changed.append(f"{entry['name']}: certificate does not verify")
         if now["exit"] == entry["exit"] and now["sha256"] == entry["sha256"]:
             continue
         if entry["exit"] != 0 and code == 0 and _newly_supported(entry["text"], stdout):

@@ -18,7 +18,7 @@ def test_benchmark_tracer_finds_every_layer():
     tracing.Tracer()
 
 
-def test_only_scalars_and_factorizer_import_sympy():
+def test_only_scalars_imports_sympy():
     importers = set()
     for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -30,4 +30,4 @@ def test_only_scalars_and_factorizer_import_sympy():
                 continue
             if any(n.split(".")[0] == "sympy" for n in names):
                 importers.add(path.name)
-    assert importers == {"scalars.py", "factorizer.py"}
+    assert importers == {"scalars.py"}
