@@ -1,14 +1,15 @@
 """Bihomogeneous polynomials on P^1 x P^2, coordinate frames and charts.
 
 The central object is :class:`BiPoly`: a polynomial that is homogeneous of
-degree d1 in (x0, x1) and degree d2 in (y0, y1, y2), stored as a canonical
+degree d1 in (x0, x1) and degree d2 in (y0, y1, y2), stored as that bidegree
+over the one sparse polynomial type, :class:`AffinePoly`, a canonical
 monomial-to-coefficient map over an exact scalar field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .scalars import (
     NumberFieldElement,
@@ -23,7 +24,7 @@ X_VARS = ("x0", "x1")
 Y_VARS = ("y0", "y1", "y2")
 ALL_VARS = X_VARS + Y_VARS
 
-BiMonomial = Tuple[Tuple[int, int], Tuple[int, int, int]]
+BiMonomial = Tuple[int, int, int, int, int]
 
 
 def _add_into(terms: dict, key, value):
@@ -40,8 +41,9 @@ def _add_into(terms: dict, key, value):
 class AffinePoly:
     """Sparse polynomial in a fixed tuple of named variables.
 
-    Used for chart expansions, conic restrictions and the local-ring linear
-    algebra; coefficients are Fraction or NumberFieldElement.
+    Carries the terms of every BiPoly, and serves chart expansions, conic
+    restrictions and the local-ring linear algebra; coefficients are Fraction
+    or NumberFieldElement.
     """
 
     __slots__ = ("vars", "terms")
@@ -159,33 +161,34 @@ class AffinePoly:
 
     def substitute(self, assignment: Mapping[str, "AffinePoly | int | Fraction | NumberFieldElement"]) -> "AffinePoly":
         """Substitute polynomials (or scalars) for some variables."""
-        polys = {}
+        polys = [AffinePoly.variable(self.vars, name) for name in self.vars]
         for name, val in assignment.items():
             if not isinstance(val, AffinePoly):
                 val = AffinePoly.constant(self.vars, val)
             polys[self.vars.index(name)] = val
+        # each power of a substituted polynomial is expanded once
+        powers: dict = {}
         result = AffinePoly(self.vars)
         for e, c in self.terms.items():
             term = AffinePoly.constant(self.vars, c)
-            for i, power in enumerate(e):
-                if power == 0:
-                    continue
-                if i in polys:
-                    term = term * (polys[i] ** power)
-                else:
-                    mono = [0] * len(self.vars)
-                    mono[i] = power
-                    term = term * AffinePoly(self.vars, {tuple(mono): 1})
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = polys[i] ** k
+                    term = term * powers[i, k]
             result = result + term
         return result
 
-    def evaluate(self, point: Mapping[str, object]):
+    def evaluate(self, point: Sequence):
+        """Value at a point given by one scalar per variable, in order."""
+        if len(point) != len(self.vars):
+            raise ValueError("point arity mismatch")
         acc = None
         for e, c in self.terms.items():
             v = c
-            for i, power in enumerate(e):
-                if power:
-                    v = v * (point[self.vars[i]] ** power)
+            for x, k in zip(point, e):
+                if k:
+                    v = v * (x ** k)
             acc = v if acc is None else acc + v
         if acc is None:
             return Fraction(0)
@@ -193,18 +196,6 @@ class AffinePoly:
 
     def coefficient(self, exps: Tuple[int, ...]):
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def restrict_vars(self, variables: Sequence[str]) -> "AffinePoly":
-        """Reindex onto a subset of variables the polynomial actually uses."""
-        variables = tuple(variables)
-        idx = [self.vars.index(v) for v in variables]
-        keep = set(idx)
-        out_terms = {}
-        for e, c in self.terms.items():
-            if any(e[i] and i not in keep for i in range(len(e))):
-                raise ValueError("polynomial uses a dropped variable")
-            out_terms[tuple(e[i] for i in idx)] = c
-        return AffinePoly(variables, out_terms)
 
     def __repr__(self):
         if not self.terms:
@@ -224,127 +215,70 @@ class AffinePoly:
 
 
 class BiPoly:
-    """Bihomogeneous polynomial of a fixed bidegree (d1, d2)."""
+    """Bihomogeneous polynomial: a formal bidegree (d1, d2) over an AffinePoly
+    in (x0, x1, y0, y1, y2) every monomial of which has that bidegree.
 
-    __slots__ = ("bidegree", "terms")
+    Monomials are flat exponent tuples (a0, a1, b0, b1, b2).
+    """
 
-    def __init__(self, bidegree: Tuple[int, int], terms: Mapping[BiMonomial, object] = ()):
-        d1, d2 = bidegree
-        self.bidegree = (int(d1), int(d2))
-        cleaned: dict = {}
-        for (alpha, beta), c in dict(terms).items():
-            alpha = (int(alpha[0]), int(alpha[1]))
-            beta = (int(beta[0]), int(beta[1]), int(beta[2]))
-            if sum(alpha) != d1 or sum(beta) != d2 or min(alpha + beta) < 0:
-                raise ValueError(f"monomial {(alpha, beta)} does not match bidegree {bidegree}")
-            _add_into(cleaned, (alpha, beta), as_scalar(c))
-        self.terms = cleaned
+    __slots__ = ("bidegree", "poly")
+
+    def __init__(self, bidegree: Tuple[int, int], terms: "AffinePoly | Mapping[BiMonomial, object]" = ()):
+        d1, d2 = self.bidegree = (int(bidegree[0]), int(bidegree[1]))
+        self.poly = terms if isinstance(terms, AffinePoly) else AffinePoly(ALL_VARS, terms)
+        if self.poly.vars != ALL_VARS:
+            raise ValueError(f"expected a polynomial in {ALL_VARS}")
+        for m in self.poly.terms:
+            if m[0] + m[1] != d1 or m[2] + m[3] + m[4] != d2 or min(m) < 0:
+                raise ValueError(f"monomial {m} does not match bidegree {self.bidegree}")
+
+    @property
+    def terms(self) -> Dict[BiMonomial, object]:
+        return self.poly.terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.poly)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.bidegree == other.bidegree and self.terms == other.terms
+        return self.bidegree == other.bidegree and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.bidegree, frozenset(self.terms.items())))
-
-    def support(self):
-        return set(self.terms)
+        return hash((self.bidegree, self.poly))
 
     def coefficient(self, monomial: BiMonomial):
-        return self.terms.get(monomial, Fraction(0))
+        return self.poly.coefficient(monomial)
 
     def __add__(self, other):
         if self.bidegree != other.bidegree:
             raise ValueError("bidegree mismatch")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_into(terms, m, c)
-        out = BiPoly(self.bidegree)
-        out.terms = terms
-        return out
+        return BiPoly(self.bidegree, self.poly + other.poly)
 
     def __neg__(self):
-        out = BiPoly(self.bidegree)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return BiPoly(self.bidegree, -self.poly)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, NumberFieldElement)):
-            if is_zero_scalar(other):
-                return BiPoly(self.bidegree)
-            out = BiPoly(self.bidegree)
-            out.terms = {m: c * other for m, c in self.terms.items()}
-            return out
-        d1 = self.bidegree[0] + other.bidegree[0]
-        d2 = self.bidegree[1] + other.bidegree[1]
-        terms: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (
-                    (a1[0] + a2[0], a1[1] + a2[1]),
-                    (b1[0] + b2[0], b1[1] + b2[1], b1[2] + b2[2]),
-                )
-                _add_into(terms, key, c1 * c2)
-        out = BiPoly((d1, d2))
-        out.terms = terms
-        return out
+        if isinstance(other, BiPoly):
+            d1, d2 = self.bidegree
+            return BiPoly((d1 + other.bidegree[0], d2 + other.bidegree[1]), self.poly * other.poly)
+        return BiPoly(self.bidegree, self.poly * other)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def from_affine(cls, p: AffinePoly) -> "BiPoly":
-        """Rebuild from a 5-variable polynomial; must be bihomogeneous."""
-        if tuple(p.vars) != ALL_VARS:
-            p = p.restrict_vars(ALL_VARS)
-        if p.is_zero():
-            raise ValueError("cannot infer the bidegree of the zero polynomial")
-        degs = {(e[0] + e[1], e[2] + e[3] + e[4]) for e in p.terms}
-        if len(degs) != 1:
-            raise ValueError(f"polynomial is not bihomogeneous: bidegrees {sorted(degs)}")
-        (d1, d2) = degs.pop()
-        return cls((d1, d2), {((e[0], e[1]), (e[2], e[3], e[4])): c for e, c in p.terms.items()})
 
     def partial(self, var: str) -> "BiPoly":
         """Formal partial derivative with respect to one of the five variables."""
         if var not in ALL_VARS:
             raise ValueError(f"unknown variable {var!r}")
         d1, d2 = self.bidegree
-        if var in X_VARS:
-            new_deg = (d1 - 1, d2)
-            i = X_VARS.index(var)
-        else:
-            new_deg = (d1, d2 - 1)
-            i = Y_VARS.index(var)
-        terms: dict = {}
-        for (alpha, beta), c in self.terms.items():
-            if var in X_VARS:
-                if alpha[i] == 0:
-                    continue
-                na = list(alpha)
-                mult = na[i]
-                na[i] -= 1
-                key = (tuple(na), beta)
-            else:
-                if beta[i] == 0:
-                    continue
-                nb = list(beta)
-                mult = nb[i]
-                nb[i] -= 1
-                key = (alpha, tuple(nb))
-            _add_into(terms, key, c * mult)
-        out = BiPoly(new_deg)
-        out.terms = terms
-        return out
+        new_deg = (d1 - 1, d2) if var in X_VARS else (d1, d2 - 1)
+        return BiPoly(new_deg, self.poly.partial(var))
 
     def dehomogenize(self, chart: Tuple[int, int]) -> AffinePoly:
         """Chart expansion: substitute x_i = 1 and y_j = 1.
@@ -355,34 +289,21 @@ class BiPoly:
         xi, yj = chart
         if xi not in (0, 1) or yj not in (0, 1, 2):
             raise ValueError("invalid chart indices")
-        x_other = 1 - xi
-        y_rest = [j for j in range(3) if j != yj]
-        variables = (X_VARS[x_other],) + tuple(Y_VARS[j] for j in y_rest)
+        keep = [1 - xi] + [2 + j for j in range(3) if j != yj]
         terms: dict = {}
-        for (alpha, beta), c in self.terms.items():
-            key = (alpha[x_other], beta[y_rest[0]], beta[y_rest[1]])
-            _add_into(terms, key, c)
-        return AffinePoly(variables, terms)
+        for m, c in self.terms.items():
+            _add_into(terms, tuple(m[i] for i in keep), c)
+        return AffinePoly(tuple(ALL_VARS[i] for i in keep), terms)
 
     def evaluate(self, x_point, y_point):
         """Evaluate at projective-coordinate tuples (exact scalars)."""
-        acc = None
-        for (alpha, beta), c in self.terms.items():
-            v = c
-            for i in range(2):
-                if alpha[i]:
-                    v = v * (x_point[i] ** alpha[i])
-            for j in range(3):
-                if beta[j]:
-                    v = v * (y_point[j] ** beta[j])
-            acc = v if acc is None else acc + v
-        return Fraction(0) if acc is None else acc
+        return self.poly.evaluate(tuple(x_point) + tuple(y_point))
 
     def sorted_terms(self):
         """Terms in the canonical order: lexicographic on (a0, b0, b1), descending."""
         return sorted(
             self.terms.items(),
-            key=lambda kv: (kv[0][0][0], kv[0][1][0], kv[0][1][1]),
+            key=lambda kv: (kv[0][0], kv[0][2], kv[0][3]),
             reverse=True,
         )
 
@@ -390,9 +311,9 @@ class BiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for (alpha, beta), c in self.sorted_terms():
+        for e, c in self.sorted_terms():
             mono = []
-            for v, p in zip(ALL_VARS, alpha + beta):
+            for v, p in zip(ALL_VARS, e):
                 if p == 1:
                     mono.append(v)
                 elif p > 1:
@@ -415,10 +336,9 @@ def all_monomials(bidegree: Tuple[int, int] = (2, 2)):
     d1, d2 = bidegree
     out = []
     for a0 in range(d1, -1, -1):
-        alpha = (a0, d1 - a0)
         for b0 in range(d2, -1, -1):
             for b1 in range(d2 - b0, -1, -1):
-                out.append((alpha, (b0, b1, d2 - b0 - b1)))
+                out.append((a0, d1 - a0, b0, b1, d2 - b0 - b1))
     return out
 
 
@@ -534,7 +454,10 @@ class _Parser:
                     self.pos += 1
                 if start == self.pos:
                     raise ParseError(f"expected denominator at position {self.pos}")
-                return AffinePoly.constant(ALL_VARS, Fraction(num, int(self.text[start : self.pos])))
+                den = int(self.text[start : self.pos])
+                if den == 0:
+                    raise ParseError(f"zero denominator at position {start}")
+                return AffinePoly.constant(ALL_VARS, Fraction(num, den))
             return AffinePoly.constant(ALL_VARS, Fraction(num))
         raise ParseError(f"unexpected character {ch!r} at position {self.pos} in {self.text!r}")
 
@@ -548,7 +471,10 @@ def parse(text: str) -> BiPoly:
     p = _Parser(text).parse()
     if p.is_zero():
         raise ValueError("the zero polynomial has no bidegree")
-    return BiPoly.from_affine(p)
+    degs = {(e[0] + e[1], e[2] + e[3] + e[4]) for e in p.terms}
+    if len(degs) != 1:
+        raise ValueError(f"polynomial is not bihomogeneous: bidegrees {sorted(degs)}")
+    return BiPoly(degs.pop(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -649,34 +575,10 @@ def inv3(m):
 
 def act(g: FrameChange, f: BiPoly) -> BiPoly:
     """The substitution action (g.f)(x, y) = f(x * g2, y * g3)."""
-    lx = [
-        AffinePoly(ALL_VARS, {(1, 0, 0, 0, 0): g.g2[0][k], (0, 1, 0, 0, 0): g.g2[1][k]})
-        for k in range(2)
-    ]
-    ly = [
-        AffinePoly(
-            ALL_VARS,
-            {
-                (0, 0, 1, 0, 0): g.g3[0][k],
-                (0, 0, 0, 1, 0): g.g3[1][k],
-                (0, 0, 0, 0, 1): g.g3[2][k],
-            },
-        )
-        for k in range(3)
-    ]
-    acc = AffinePoly(ALL_VARS)
-    for (alpha, beta), c in f.terms.items():
-        term = AffinePoly.constant(ALL_VARS, c)
-        for i in range(2):
-            if alpha[i]:
-                term = term * (lx[i] ** alpha[i])
-        for j in range(3):
-            if beta[j]:
-                term = term * (ly[j] ** beta[j])
-        acc = acc + term
-    if acc.is_zero():
-        return BiPoly(f.bidegree)
-    return BiPoly.from_affine(acc)
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    lx = [AffinePoly(ALL_VARS, {units[i]: g.g2[i][k] for i in range(2)}) for k in range(2)]
+    ly = [AffinePoly(ALL_VARS, {units[2 + i]: g.g3[i][k] for i in range(3)}) for k in range(3)]
+    return BiPoly(f.bidegree, f.poly.substitute(dict(zip(ALL_VARS, lx + ly))))
 
 
 def is_scalar_multiple(f, g) -> bool:

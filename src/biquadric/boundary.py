@@ -52,19 +52,14 @@ def minimal_orbit_limit(f: BiPoly, cert: Certificate) -> BiPoly:
 
 
 # Monomial supports of the four boundary families.
-_M = lambda a, b: ((a[0], a[1]), (b[0], b[1], b[2]))  # noqa: E731
-_G1_SUPPORT = frozenset({_M((1, 1), (1, 0, 1)), _M((1, 1), (0, 2, 0))})
-_G2_SUPPORT = _G1_SUPPORT | {_M((2, 0), (0, 1, 1)), _M((0, 2), (1, 1, 0))}
-_G3_SUPPORT = _G1_SUPPORT | {_M((2, 0), (0, 0, 2)), _M((0, 2), (2, 0, 0))}
+_G1_SUPPORT = frozenset({(1, 1, 1, 0, 1), (1, 1, 0, 2, 0)})
+_G2_SUPPORT = _G1_SUPPORT | {(2, 0, 0, 1, 1), (0, 2, 1, 1, 0)}
+_G3_SUPPORT = _G1_SUPPORT | {(2, 0, 0, 0, 2), (0, 2, 2, 0, 0)}
 _G4_SUPPORT = frozenset(
-    _M(a, b)
+    a + b
     for a in ((2, 0), (1, 1), (0, 2))
     for b in ((0, 2, 0), (1, 0, 1))
 )
-
-
-def _coeff(f: BiPoly, m) -> object:
-    return f.terms.get(m, Fraction(0))
 
 
 def _projective_pair(u, v) -> Tuple[object, object]:
@@ -89,28 +84,26 @@ def stratum_of(limit_poly: BiPoly) -> BoundaryPoint:
             raise ValueError("degenerate support: not a semistable limit")
         return BoundaryPoint(Stratum.GAMMA1)
     if support <= _G2_SUPPORT:
-        a12 = _coeff(limit_poly, _M((2, 0), (0, 1, 1)))
-        b11 = _coeff(limit_poly, _M((1, 1), (0, 2, 0)))
-        b02 = _coeff(limit_poly, _M((1, 1), (1, 0, 1)))
-        c01 = _coeff(limit_poly, _M((0, 2), (1, 1, 0)))
+        a12 = limit_poly.coefficient((2, 0, 0, 1, 1))
+        b11 = limit_poly.coefficient((1, 1, 0, 2, 0))
+        b02 = limit_poly.coefficient((1, 1, 1, 0, 1))
+        c01 = limit_poly.coefficient((0, 2, 1, 1, 0))
         if is_zero_scalar(b02):
             raise ValueError("not reducible to any stratum")
         coord = _projective_pair(b11 * b02, c01 * a12)
         return BoundaryPoint(Stratum.GAMMA2, coord, is_zero_scalar(coord[1]))
     if support <= _G3_SUPPORT:
-        a22 = _coeff(limit_poly, _M((2, 0), (0, 0, 2)))
-        b11 = _coeff(limit_poly, _M((1, 1), (0, 2, 0)))
-        b02 = _coeff(limit_poly, _M((1, 1), (1, 0, 1)))
-        c00 = _coeff(limit_poly, _M((0, 2), (2, 0, 0)))
+        a22 = limit_poly.coefficient((2, 0, 0, 0, 2))
+        b11 = limit_poly.coefficient((1, 1, 0, 2, 0))
+        b02 = limit_poly.coefficient((1, 1, 1, 0, 1))
+        c00 = limit_poly.coefficient((0, 2, 2, 0, 0))
         if is_zero_scalar(b11):
             raise ValueError("not reducible to any stratum")
         coord = _projective_pair(b02 * b02, a22 * c00)
         return BoundaryPoint(Stratum.GAMMA3, coord, is_zero_scalar(coord[1]))
     if support <= _G4_SUPPORT:
-        q1 = [_coeff(limit_poly, _M(a, (0, 2, 0)))
-              for a in ((2, 0), (1, 1), (0, 2))]
-        q2 = [_coeff(limit_poly, _M(a, (1, 0, 1)))
-              for a in ((2, 0), (1, 1), (0, 2))]
+        q1 = [limit_poly.coefficient(a + (0, 2, 0)) for a in ((2, 0), (1, 1), (0, 2))]
+        q2 = [limit_poly.coefficient(a + (1, 0, 1)) for a in ((2, 0), (1, 1), (0, 2))]
         if all(is_zero_scalar(c) for c in q1) or all(is_zero_scalar(c) for c in q2):
             raise ValueError("not reducible to any stratum")
         # SL(2)-invariants of the binary-quadratic pair (q1, q2):
@@ -127,13 +120,13 @@ def stratum_of(limit_poly: BiPoly) -> BoundaryPoint:
 
 def _gamma2_representative(u, v) -> BiPoly:
     terms = {
-        _M((2, 0), (0, 1, 1)): Fraction(1),
-        _M((1, 1), (1, 0, 1)): Fraction(1),
+        (2, 0, 0, 1, 1): Fraction(1),
+        (1, 1, 1, 0, 1): Fraction(1),
     }
     if not is_zero_scalar(u):
-        terms[_M((1, 1), (0, 2, 0))] = u
+        terms[(1, 1, 0, 2, 0)] = u
     if not is_zero_scalar(v):
-        terms[_M((0, 2), (1, 1, 0))] = v
+        terms[(0, 2, 1, 1, 0)] = v
     return BiPoly((2, 2), terms)
 
 

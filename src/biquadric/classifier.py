@@ -28,16 +28,13 @@ from .bipoly import (
 from .factorizer import Factor, bihomogeneous_factor
 from .fibration import (
     BinForm,
-    CurveOfSections,
     FibreLabel,
-    FiniteSections,
     PhiSigmaKind,
     binform_gcd,
     classify_fibre,
     conic_coefficients,
     conic_gram,
     conic_of,
-    contracted_sections,
     line_divides_conic,
     line_span,
     matrix_rank,
@@ -210,8 +207,7 @@ def normalize_frame(f: BiPoly, P: Point, alignment=PointOnly()) -> FrameChange:
         frame = FrameChange(g2, (tuple(p2n), tuple(row1), tuple(row2)))
     else:
         raise TypeError(f"unknown alignment: {alignment!r}")
-    moved = act(frame, f)
-    if not is_zero_scalar(moved.evaluate((1, 0), (1, 0, 0))):
+    if not is_zero_scalar(f.evaluate(p1, p2)):
         raise ValueError("the point does not lie on the surface")
     return frame
 
@@ -238,13 +234,6 @@ def _double_line_of(f: BiPoly, p1):
     if not lines:
         raise ValueError("fibre over p1 is not a singular conic")
     return lines[0]
-
-
-def _section_points(f: BiPoly) -> Tuple:
-    cs = contracted_sections(f)
-    if isinstance(cs, CurveOfSections):
-        raise ValueError("a curve of contracted sections certifies reducibility")
-    return cs.points
 
 
 def _on_some_section(p2, section_points) -> bool:
@@ -277,17 +266,13 @@ def _cone_is_pullback(f: BiPoly, P: Point) -> bool:
 
 
 def check_semistability_conditions(
-    f: BiPoly,
-    locus: Optional[SingularLocus] = None,
+    f: BiPoly, locus: SingularLocus
 ) -> Tuple[List[ConditionRecord], Optional[Certificate]]:
     """Per-singular-point report of the three semi-stability conditions plus
     the singular-contracted-section condition; the first violation yields a
     Positive certificate."""
-    if locus is None:
-        locus = singular_locus(f)
     records: List[ConditionRecord] = []
     cert: Optional[Certificate] = None
-    section_points = _section_points(f)
 
     def note(subject, clause, violated, weight=None):
         records.append(ConditionRecord(subject, clause, violated, weight))
@@ -337,7 +322,7 @@ def check_semistability_conditions(
         fibre = classify_fibre(f, p1)
         if fibre.label is not FibreLabel.TWO_DISTINCT_LINES:
             continue
-        if not _on_some_section(normalize_projective(p2), section_points):
+        if not _on_some_section(normalize_projective(p2), locus.section_points):
             continue
         ps = phi_sigma_constant(f, p2)
         if ps.kind is not PhiSigmaKind.CONSTANT:
@@ -411,15 +396,11 @@ def _non_a1_section_frame(f: BiPoly, P: Point) -> FrameChange:
 
 
 def check_stability_conditions(
-    f: BiPoly,
-    locus: Optional[SingularLocus] = None,
+    f: BiPoly, locus: SingularLocus
 ) -> Tuple[List[ConditionRecord], Optional[Certificate]]:
     """Stability test for an irreducible semi-stable f; a violation yields a
     Zero-sign certificate (the limit along the weight exists and is nonzero).
     """
-    if locus is None:
-        locus = singular_locus(f)
-    section_points = _section_points(f)
     records: List[ConditionRecord] = []
     cert: Optional[Certificate] = None
 
@@ -434,7 +415,7 @@ def check_stability_conditions(
         return out
 
     # Constant tangent map along a section with at most A1 points on it.
-    for p2 in section_points:
+    for p2 in locus.section_points:
         p2n = normalize_projective(p2)
         ps = phi_sigma_constant(f, p2)
         if ps.kind is PhiSigmaKind.UNDEFINED:
@@ -454,7 +435,7 @@ def check_stability_conditions(
         if rec.local_type.is_a1:
             continue
         p2n = normalize_projective(rec.point[1])
-        if not _on_some_section(p2n, section_points):
+        if not _on_some_section(p2n, locus.section_points):
             continue
         records.append(ConditionRecord(
             _fmt_point(rec.point), "NonA1OnContractedSection", True,
@@ -497,18 +478,18 @@ def _x_root_rows(line_pair):
 
 
 def _x_line_coeffs(factor: BiPoly):
-    return (factor.coefficient(((1, 0), (0, 0, 0))),
-            factor.coefficient(((0, 1), (0, 0, 0))))
+    return (factor.coefficient((1, 0, 0, 0, 0)),
+            factor.coefficient((0, 1, 0, 0, 0)))
 
 
 def _bilinear_lines(factor: BiPoly):
     """The x0- and x1-coefficient plane lines of a (1,1) factor."""
     a = tuple(
-        factor.coefficient(((1, 0), tuple(int(i == j) for j in range(3))))
+        factor.coefficient((1, 0) + tuple(int(i == j) for j in range(3)))
         for i in range(3)
     )
     b = tuple(
-        factor.coefficient(((0, 1), tuple(int(i == j) for j in range(3))))
+        factor.coefficient((0, 1) + tuple(int(i == j) for j in range(3)))
         for i in range(3)
     )
     return a, b
@@ -557,7 +538,7 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
         g3 = _line_kernel_frame(ell)
         moved = act(FrameChange(IDENTITY2, g3), f)
         q0 = BinForm(2, [
-            moved.coefficient(((2 - i, i), (1, 0, 1))) for i in range(3)
+            moved.coefficient((2 - i, i, 1, 0, 1)) for i in range(3)
         ])
         g2 = IDENTITY2 if q0.is_zero() else _complete_basis2(q0.roots()[0][0])
         cert = _verified(

@@ -51,8 +51,7 @@ class PreconditionError(Exception):
 # Serialization helpers
 
 def _monomial_key(m) -> str:
-    (alpha, beta) = m
-    return ",".join(map(str, alpha)) + ";" + ",".join(map(str, beta))
+    return ",".join(map(str, m[:2])) + ";" + ",".join(map(str, m[2:]))
 
 
 def _parse_monomial_key(key: str):
@@ -61,7 +60,7 @@ def _parse_monomial_key(key: str):
     beta = tuple(int(t) for t in b_part.split(","))
     if len(alpha) != 2 or len(beta) != 3:
         raise ValueError(f"bad monomial key: {key!r}")
-    return (alpha, beta)
+    return alpha + beta
 
 
 def poly_to_map(f: BiPoly) -> dict:
@@ -74,7 +73,7 @@ def poly_to_map(f: BiPoly) -> dict:
 def poly_from_map(data: dict) -> BiPoly:
     try:
         terms = {_parse_monomial_key(k): Fraction(v) for k, v in data.items()}
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"malformed coefficient map: {exc}") from exc
     return BiPoly((2, 2), terms)
 
@@ -124,7 +123,7 @@ def cert_from_json(data: dict) -> Certificate:
             weight=Weight.parse(data["weight"]),
             claimed_mu_sign=MuSign(data["claimed_mu_sign"]),
         )
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise PreconditionError(f"malformed certificate: missing or mistyped {exc}") from exc
 
 

@@ -134,8 +134,8 @@ def _rational_factors(f: BiPoly) -> List[Tuple[BiPoly, List[BiPoly]]]:
 def _x_content(f: BiPoly) -> BinForm:
     """The gcd of the binary quadratics that multiply the y-monomials."""
     forms: dict = {}
-    for (alpha, beta), c in f.terms.items():
-        forms.setdefault(beta, [Fraction(0)] * 3)[alpha[1]] = c
+    for m, c in f.terms.items():
+        forms.setdefault(m[2:], [Fraction(0)] * 3)[m[1]] = c
     g = BinForm(2)
     for coeffs in forms.values():
         g = binform_gcd(g, BinForm(2, coeffs))
@@ -147,17 +147,17 @@ def _x_content(f: BiPoly) -> BinForm:
 def _x_coefficient_conics(f: BiPoly) -> List[AffinePoly]:
     """The nonzero conics in y that multiply the x-monomials of f."""
     conics: dict = {}
-    for (alpha, beta), c in f.terms.items():
-        conics.setdefault(alpha, {})[beta] = c
+    for m, c in f.terms.items():
+        conics.setdefault(m[:2], {})[m[2:]] = c
     return [AffinePoly(Y_VARS, terms) for terms in conics.values()]
 
 
 def _x_form(b: BinForm) -> BiPoly:
-    return BiPoly((b.d, 0), {((b.d - i, i), (0, 0, 0)): c for i, c in enumerate(b.coeffs)})
+    return BiPoly((b.d, 0), {(b.d - i, i, 0, 0, 0): c for i, c in enumerate(b.coeffs)})
 
 
 def _y_form(q: AffinePoly) -> BiPoly:
-    return BiPoly((0, q.total_degree()), {((0, 0), e): c for e, c in q.terms.items()})
+    return BiPoly((0, q.total_degree()), {(0, 0) + e: c for e, c in q.terms.items()})
 
 
 def _x_factors(cx: BinForm):
@@ -168,12 +168,12 @@ def _x_factors(cx: BinForm):
             # and at the conjugate root -m1 - r, m1 the linear coefficient of
             # the minimal polynomial
             pieces = [
-                BiPoly((1, 0), {((1, 0), (0, 0, 0)): -r, ((0, 1), (0, 0, 0)): 1})
+                BiPoly((1, 0), {(1, 0, 0, 0, 0): -r, (0, 1, 0, 0, 0): 1})
                 for r in (p1, -p1.modulus[1] - p1)
             ]
             return [(_primitive(_x_form(cx)), pieces)]
         # the linear form vanishing at [p0 : p1]
-        line = _primitive(BiPoly((1, 0), {((1, 0), (0, 0, 0)): p1, ((0, 1), (0, 0, 0)): -p0}))
+        line = _primitive(BiPoly((1, 0), {(1, 0, 0, 0, 0): p1, (0, 1, 0, 0, 0): -p0}))
         out.extend([(line, [line])] * mult)
     return out
 
@@ -261,27 +261,26 @@ def _bilinear(l0, l1) -> BiPoly:
     terms = {}
     for alpha, line in (((1, 0), l0), ((0, 1), l1)):
         for j in range(3):
-            terms[(alpha, tuple(int(t == j) for t in range(3)))] = line[j]
+            terms[alpha + tuple(int(t == j) for t in range(3))] = line[j]
     return BiPoly((1, 1), terms)
 
 
 def _y_line(line) -> BiPoly:
-    return BiPoly((0, 1), {((0, 0), tuple(int(i == j) for j in range(3))): line[i] for i in range(3)})
+    return BiPoly((0, 1), {(0, 0) + tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
 
 
 def _quotient(f: BiPoly, d: BiPoly) -> BiPoly:
     """f / d for a divisor d of f, by division of lex-leading terms."""
     rem = dict(f.terms)
-    (da, db) = lead = max(d.terms)
+    lead = max(d.terms)
     inv = scalar_inv(d.terms[lead])
     out: dict = {}
     while rem:
-        (a, b) = top = max(rem)
-        qa = (a[0] - da[0], a[1] - da[1])
-        qb = (b[0] - db[0], b[1] - db[1], b[2] - db[2])
-        q = out[(qa, qb)] = rem[top] * inv
-        for (ea, eb), e in d.terms.items():
-            mono = ((qa[0] + ea[0], qa[1] + ea[1]), (qb[0] + eb[0], qb[1] + eb[1], qb[2] + eb[2]))
+        top = max(rem)
+        qm = tuple(a - b for a, b in zip(top, lead))
+        q = out[qm] = rem[top] * inv
+        for em, e in d.terms.items():
+            mono = tuple(a + b for a, b in zip(qm, em))
             rest = rem.get(mono, 0) - q * e
             if is_zero_scalar(rest):
                 rem.pop(mono, None)
@@ -298,9 +297,7 @@ def _primitive(f: BiPoly) -> BiPoly:
     den = math.lcm(*(c.denominator for c in cs))
     nums = [c.numerator * (den // c.denominator) for c in cs]
     g = math.gcd(*nums) * (1 if nums[0] > 0 else -1)
-    out = BiPoly(f.bidegree)
-    out.terms = {m: Fraction(n // g) for m, n in zip(keys, nums)}
-    return out
+    return BiPoly(f.bidegree, {m: Fraction(n // g) for m, n in zip(keys, nums)})
 
 
 def _monic(f: BiPoly, modulus) -> BiPoly:
@@ -308,13 +305,11 @@ def _monic(f: BiPoly, modulus) -> BiPoly:
     in descending lex order."""
     keys = sorted(f.terms, reverse=True)
     inv = scalar_inv(f.terms[keys[0]])
-    out = BiPoly(f.bidegree)
     terms = {}
     for m in keys:
         c = f.terms[m] * inv
         terms[m] = c if isinstance(c, NumberFieldElement) else NumberFieldElement.from_rational(modulus, c)
-    out.terms = terms
-    return out
+    return BiPoly(f.bidegree, terms)
 
 
 def _dense(terms: dict, u: int):
@@ -337,7 +332,7 @@ def _dense(terms: dict, u: int):
 def _sympy_key(fac: BiPoly, mult: int):
     """sympy's factor order, ``(len(rep), gens, exp, domain, rep)`` with the
     five generators and the integers fixed."""
-    rep = _dense({a + b: int(c) for (a, b), c in fac.terms.items()}, 4)
+    rep = _dense({m: int(c) for m, c in fac.terms.items()}, 4)
     return (len(rep), mult, rep)
 
 

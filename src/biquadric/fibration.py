@@ -145,10 +145,10 @@ def fibre_matrix(f: BiPoly) -> ConicPencil:
     if f.bidegree != (2, 2):
         raise ValueError("fibre matrix requires bidegree (2, 2)")
     acc = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (alpha, beta), c in f.terms.items():
-        ys = [j for j in range(3) for _ in range(beta[j])]
+    for m, c in f.terms.items():
+        ys = [j for j in range(3) for _ in range(m[2 + j])]
         i, j = ys  # exactly two y-indices since the y-degree is 2
-        x_index = alpha[1]  # coefficient slot of x0^(2-k) x1^k
+        x_index = m[1]  # coefficient slot of x0^(2-k) x1^k
         if i == j:
             acc[i][i][x_index] = acc[i][i][x_index] + 2 * c
         else:
@@ -263,14 +263,14 @@ def conic_coefficients(f: BiPoly) -> Tuple[AffinePoly, AffinePoly, AffinePoly]:
     if f.bidegree != (2, 2):
         raise ValueError("requires bidegree (2, 2)")
     conics = [dict(), dict(), dict()]
-    for (alpha, beta), c in f.terms.items():
-        conics[alpha[1]][beta] = c
+    for m, c in f.terms.items():
+        conics[m[1]][m[2:]] = c
     return tuple(AffinePoly(Y_VARS, terms) for terms in conics)
 
 
 def conic_of(factor: BiPoly) -> AffinePoly:
     """The conic in y of a form of bidegree (0, 2)."""
-    return AffinePoly(Y_VARS, {beta: c for (_alpha, beta), c in factor.terms.items()})
+    return AffinePoly(Y_VARS, {m[2:]: c for m, c in factor.terms.items()})
 
 
 def conic_gram(q: AffinePoly):
@@ -474,7 +474,7 @@ def _common_conic_points(conics):
             points.extend(_solve_y2(conics, u0, u1))
     # the point [0,0,1] projects nowhere under (y0, y1); test it directly
     origin_like = (Fraction(0), Fraction(0), Fraction(1))
-    if all(is_zero_scalar(q.evaluate({"y0": 0, "y1": 0, "y2": 1})) for q in conics):
+    if all(is_zero_scalar(q.evaluate(origin_like)) for q in conics):
         points.append(origin_like)
     unique = []
     for p in points:

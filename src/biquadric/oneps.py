@@ -86,13 +86,12 @@ def recenter(raw_r, raw_s) -> Weight:
 
 
 def monomial_weight(m: BiMonomial, w: Weight) -> int:
-    alpha, beta = m
     return (
-        w.r[0] * alpha[0]
-        + w.r[1] * alpha[1]
-        + w.s[0] * beta[0]
-        + w.s[1] * beta[1]
-        + w.s[2] * beta[2]
+        w.r[0] * m[0]
+        + w.r[1] * m[1]
+        + w.s[0] * m[2]
+        + w.s[1] * m[3]
+        + w.s[2] * m[4]
     )
 
 
@@ -125,8 +124,9 @@ def limit(f: BiPoly, w: Weight) -> Limit:
         return Limit(LimitKind.DOES_NOT_EXIST)
     if m > 0:
         return Limit(LimitKind.ZERO)
-    out = BiPoly(f.bidegree)
-    out.terms = {mono: c for mono, c in f.terms.items() if monomial_weight(mono, w) == 0}
+    out = BiPoly(f.bidegree, {
+        mono: c for mono, c in f.terms.items() if monomial_weight(mono, w) == 0
+    })
     return Limit(LimitKind.POLY, out)
 
 

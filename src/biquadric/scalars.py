@@ -11,14 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
-import sympy
-
 Scalar = Union[int, Fraction, "NumberFieldElement"]
 
 FACTOR_DEGREE_CAP = 12
 MODULUS_DEGREE_CAP = 6
-
-_t = sympy.Symbol("t")
 
 
 def as_fraction(c) -> Fraction:
@@ -247,9 +243,11 @@ def uv_squarefree_decomposition(p: UniPoly):
 
 
 def _to_sympy(p: UniPoly):
+    import sympy  # on first use: importing it costs more than most runs
+
     if not p.is_rational():
         raise TypeError("sympy conversion requires rational coefficients")
-    return sympy.Poly(list(reversed(p.coeffs)), _t, domain="QQ")
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("t"), domain="QQ")
 
 
 def _from_sympy(sp) -> UniPoly:
@@ -274,6 +272,8 @@ def uv_factorize(p: UniPoly):
 
 def squarefree_part(c: Fraction) -> int:
     """The squarefree integer d with Q(sqrt(c)) = Q(sqrt(d)), for nonzero c."""
+    import sympy
+
     n = c.numerator * c.denominator  # sqrt(p/q) and sqrt(pq) generate the same field
     out = -1 if n < 0 else 1
     for p, e in sympy.factorint(abs(n)).items():
@@ -549,11 +549,14 @@ def _nf_sqrt(a: NumberFieldElement):
     Decided by factoring X^2 - a over the field: a linear factor exhibits the
     root, and its absence proves there is none.
     """
+    import sympy
+
+    t = sympy.Symbol("t")
     mod_expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * _t ** i
+        sympy.Rational(c.numerator, c.denominator) * t ** i
         for i, c in enumerate(a.modulus)
     )
-    alpha = sympy.CRootOf(sympy.Poly(mod_expr, _t), 0)
+    alpha = sympy.CRootOf(sympy.Poly(mod_expr, t), 0)
     val = sum(
         sympy.Rational(c.numerator, c.denominator) * alpha ** i
         for i, c in enumerate(a.residue)

@@ -33,7 +33,6 @@ from .fibration import (
     CurveOfSections,
     discriminant,
     fibre_matrix,
-    FiniteSections,
     frame_moving_p1,
     frame_moving_p2,
     matrix_kernel,
@@ -76,15 +75,15 @@ def is_singular_at(f: BiPoly, P: Point) -> bool:
 def restrict_x(f: BiPoly, p1) -> AffinePoly:
     """Evaluate the x-variables at a P^1 point, leaving a form in y."""
     terms: Dict[Tuple[int, int, int], object] = {}
-    for (alpha, beta), c in f.terms.items():
+    for m, c in f.terms.items():
         v = c
-        if alpha[0]:
-            v = v * p1[0] ** alpha[0]
-        if alpha[1]:
-            v = v * p1[1] ** alpha[1]
+        if m[0]:
+            v = v * p1[0] ** m[0]
+        if m[1]:
+            v = v * p1[1] ** m[1]
         if is_zero_scalar(v):
             continue
-        terms[beta] = terms.get(beta, Fraction(0)) + v
+        terms[m[2:]] = terms.get(m[2:], Fraction(0)) + v
     return AffinePoly(Y_VARS, terms)
 
 
@@ -92,12 +91,12 @@ def restrict_y(f: BiPoly, p2) -> BinForm:
     """Evaluate the y-variables at a P^2 point, leaving a binary form in x."""
     d1 = f.bidegree[0]
     coeffs = [Fraction(0)] * (d1 + 1)
-    for (alpha, beta), c in f.terms.items():
+    for m, c in f.terms.items():
         v = c
         for j in range(3):
-            if beta[j]:
-                v = v * p2[j] ** beta[j]
-        coeffs[alpha[1]] = coeffs[alpha[1]] + v
+            if m[2 + j]:
+                v = v * p2[j] ** m[2 + j]
+        coeffs[m[1]] = coeffs[m[1]] + v
     return BinForm(d1, coeffs)
 
 
@@ -115,9 +114,7 @@ def point_frame(P: Point) -> FrameChange:
 
 def chart_local(f: BiPoly, P: Point) -> AffinePoly:
     """Local equation of the surface in the affine chart centred at P."""
-    moved = act(point_frame(P), f)
-    local = moved.dehomogenize((0, 0))
-    return local.restrict_vars(CHART_VARS)
+    return act(point_frame(P), f).dehomogenize((0, 0))
 
 
 def tangent_cone(f: BiPoly, P: Point) -> AffinePoly:
@@ -383,6 +380,9 @@ class SingularPointRecord:
 class SingularLocus:
     isolated_points: Tuple[SingularPointRecord, ...]
     curve_components: Tuple[CurveComponent, ...]
+    # The points of P^2 whose section P^1 x {p2} lies on the surface; empty
+    # for reducible input.
+    section_points: Tuple[Tuple[object, object, object], ...] = ()
 
     @property
     def is_smooth(self) -> bool:
@@ -417,10 +417,11 @@ def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
         components.extend(comps)
     # whole contracted sections inside the singular locus
     cs = contracted_sections(f)
-    if isinstance(cs, FiniteSections):
-        for p2 in cs.points:
-            if _section_is_singular(f, p2):
-                components.append(HorizontalSection(p2))
+    if isinstance(cs, CurveOfSections):
+        raise ValueError("a curve of contracted sections certifies reducibility")
+    for p2 in cs.points:
+        if _section_is_singular(f, p2):
+            components.append(HorizontalSection(p2))
     unique_components = []
     for comp in components:
         if comp not in unique_components:
@@ -434,7 +435,7 @@ def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
             continue
         unique_points.append(P)
     records = tuple(_make_record(f, P, cutoff) for P in unique_points)
-    return SingularLocus(records, tuple(unique_components))
+    return SingularLocus(records, tuple(unique_components), cs.points)
 
 
 def _point_on_component(P: Point, comp: CurveComponent) -> bool:
@@ -501,7 +502,7 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
 
 def _restricted_to_line(conic: AffinePoly, v1, v2) -> UniPoly:
     """Restrict a conic in y to the line {v1 + t v2}: a quadratic in t."""
-    point = lambda t: {name: v1[i] + t * v2[i] for i, name in enumerate(Y_VARS)}
+    point = lambda t: [a + t * b for a, b in zip(v1, v2)]
     c0 = conic.evaluate(point(Fraction(0)))
     c_at_1 = conic.evaluate(point(Fraction(1)))
     c_at_m1 = conic.evaluate(point(Fraction(-1)))
@@ -592,10 +593,10 @@ def _substitute_section(fx: BiPoly, column) -> BinForm:
     """Substitute y -> column(x) into a bidegree-(1,2) form."""
     deg = fx.bidegree[0] + 2 * column[0].d
     acc = BinForm(deg)
-    for (alpha, beta), c in fx.terms.items():
-        term = BinForm(fx.bidegree[0], [0] * alpha[1] + [c] + [0] * (fx.bidegree[0] - alpha[1]))
+    for m, c in fx.terms.items():
+        term = BinForm(fx.bidegree[0], [0] * m[1] + [c] + [0] * (fx.bidegree[0] - m[1]))
         for j in range(3):
-            for _ in range(beta[j]):
+            for _ in range(m[2 + j]):
                 term = term * column[j]
         acc = acc + term
     return acc
@@ -689,8 +690,8 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
 
 
 def _x_linear_root(fac: BiPoly):
-    c0 = fac.coefficient(((1, 0), (0, 0, 0)))
-    c1 = fac.coefficient(((0, 1), (0, 0, 0)))
+    c0 = fac.coefficient((1, 0, 0, 0, 0))
+    c1 = fac.coefficient((0, 1, 0, 0, 0))
     # root of c0 x0 + c1 x1
     return normalize_projective((c1, -c0))
 
@@ -698,5 +699,5 @@ def _x_linear_root(fac: BiPoly):
 def y_linear_coeffs(fac: BiPoly):
     """The coefficients of y0, y1, y2 in a form of bidegree (0, 1)."""
     return tuple(
-        fac.coefficient(((0, 0), tuple(int(i == j) for j in range(3)))) for i in range(3)
+        fac.coefficient((0, 0) + tuple(int(i == j) for j in range(3))) for i in range(3)
     )

@@ -33,8 +33,7 @@ _NORMALIZATION_NORMALS: Tuple[Tuple[int, int, int], ...] = (
 
 def support_normal(m: BiMonomial) -> Tuple[int, int, int]:
     """Normal of the half-space {weight(m) >= 0} in (r0, s0, s1) coordinates."""
-    alpha, beta = m
-    return (alpha[0] - alpha[1], beta[0] - beta[2], beta[1] - beta[2])
+    return (m[0] - m[1], m[2] - m[4], m[3] - m[4])
 
 
 def _dot(a, b) -> Fraction:

@@ -167,8 +167,15 @@ class TestExitCodes:
         (("classify", '{"2,0;2,0,0": null}'), None, 2),
         (("classify", '{"2,0;2,0,0": [1]}'), None, 2),
         (("verify-cert", "{missing}"), None, 2),
+        (("classify", "1/0*x0^2*y0^2"), None, 2),
+        (("classify", '{"2,0;2,0,0": "1/0"}'), None, 2),
+        (("classify", '{"2,0;2,0,0": 1e400}'), None, 2),
+        (("verify-cert", "--stdin"), {"frame": {"g2": [["1/0", "0"], ["0", "1"]],
+                                                "g3": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
-            "list-coefficient", "missing-cert-file"])
+            "list-coefficient", "missing-cert-file", "zero-denominator-text",
+            "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:

@@ -190,15 +190,15 @@ _SYMS = sympy.symbols("x0 x1 y0 y1 y2")
 def _to_sympy(f: BiPoly):
     return sympy.Add(*[
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*[s ** e for s, e in zip(_SYMS, alpha + beta)])
-        for (alpha, beta), c in f.terms.items()
+        * sympy.Mul(*[s ** e for s, e in zip(_SYMS, m)])
+        for m, c in f.terms.items()
     ])
 
 
 def _from_sympy_poly(poly, convert) -> BiPoly:
-    terms = {((e[0], e[1]), (e[2], e[3], e[4])): convert(c) for e, c in poly.terms()}
-    (alpha, beta) = next(iter(terms))
-    return BiPoly((sum(alpha), sum(beta)), terms)
+    terms = {e: convert(c) for e, c in poly.terms()}
+    m = next(iter(terms))
+    return BiPoly((sum(m[:2]), sum(m[2:])), terms)
 
 
 def _reference_factor(f: BiPoly):
@@ -217,10 +217,10 @@ def _reference_split(fac: BiPoly):
     splits over Q(sqrt d) iff B^2 - 4AC is a constant times a square, with d
     the squarefree part of its leading coefficient."""
     if fac.bidegree == (2, 0):
-        poly = UniPoly([fac.coefficient(((2 - i, i), (0, 0, 0))) for i in range(3)]).monic()
+        poly = UniPoly([fac.coefficient((2 - i, i, 0, 0, 0)) for i in range(3)]).monic()
         (alpha, _mult), = uv_roots(poly)
         return [
-            BiPoly((1, 0), {((1, 0), (0, 0, 0)): -root, ((0, 1), (0, 0, 0)): 1})
+            BiPoly((1, 0), {(1, 0, 0, 0, 0): -root, (0, 1, 0, 0, 0): 1})
             for root in (alpha, -poly.coeffs[1] - alpha)
         ]
     if fac.bidegree == (0, 2):
@@ -228,7 +228,7 @@ def _reference_split(fac: BiPoly):
         if lines is None:
             return [fac]
         return [
-            BiPoly((0, 1), {((0, 0), tuple(int(i == j) for j in range(3))): line[i] for i in range(3)})
+            BiPoly((0, 1), {(0, 0) + tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
             for line in lines
         ]
     if fac.bidegree != (2, 2):
@@ -254,7 +254,7 @@ def _reference_split(fac: BiPoly):
     pieces = []
     for piece, mult in sympy.factor_list(expr, *_SYMS, extension=sympy.sqrt(d))[1]:
         poly = sympy.Poly(piece, *_SYMS, domain=field)
-        terms = {((e[0], e[1]), (e[2], e[3], e[4])): convert(c) for e, c in poly.rep.terms()}
+        terms = {e: convert(c) for e, c in poly.rep.terms()}
         pieces.extend([BiPoly((1, 1), terms)] * mult)
     return pieces
 

@@ -26,13 +26,13 @@ SMOOTH = parse("x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2) + x1^2*(y0^2+2*y1^2+
 
 def poly_from_pencil(pencil):
     """Reassemble y^T M(x) y / 2 for the round-trip check."""
-    y_units = [((0, 0), tuple(int(j == k) for k in range(3))) for j in range(3)]
+    y_units = [(0, 0) + tuple(int(j == k) for k in range(3)) for j in range(3)]
     acc = BiPoly((2, 2), {})
     for i in range(3):
         for j in range(3):
             e = pencil.entries[i][j]
             xpart = BiPoly((2, 0), {
-                ((2 - k, k), (0, 0, 0)): c
+                (2 - k, k, 0, 0, 0): c
                 for k, c in enumerate(e.coeffs) if c
             })
             if xpart.is_zero():

@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import biquadric.cli  # noqa: F401  (imports every module the tracer looks in)
@@ -15,7 +17,17 @@ def test_benchmark_tracer_finds_every_layer():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    # The tracer looks sympy.factor_list up in sys.modules; in the benchmark
+    # the warm-up operations have imported sympy by then.
+    import sympy  # noqa: F401
     tracing.Tracer()
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is imported on first use, so commands that never factor do not
+    # pay its import time.
+    code = "import sys, biquadric.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src").returncode == 0
 
 
 def test_only_scalars_imports_sympy():

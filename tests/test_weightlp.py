@@ -40,11 +40,11 @@ def check_witness(w, support, strict):
 
 class TestExamples:
     def test_corner_monomial_infeasible(self):
-        assert find_destabilizing_weight({((2, 0), (2, 0, 0))}, strict=True) is None
-        assert find_destabilizing_weight({((2, 0), (2, 0, 0))}, strict=False) is None
+        assert find_destabilizing_weight({(2, 0, 2, 0, 0)}, strict=True) is None
+        assert find_destabilizing_weight({(2, 0, 2, 0, 0)}, strict=False) is None
 
     def test_opposite_corner_feasible(self):
-        support = {((0, 2), (0, 0, 2))}
+        support = {(0, 2, 0, 0, 2)}
         w = find_destabilizing_weight(support, strict=True)
         assert w is not None
         check_witness(w, support, strict=True)
