@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .bipoly import AffinePoly, BiPoly, Y_VARS
+from .bipoly import AffinePoly, BiPoly
 from .fibration import (
     BinForm,
     binform_gcd,
@@ -119,7 +119,7 @@ def _rational_factors(f: BiPoly) -> List[Tuple[BiPoly, List[BiPoly]]]:
     if cx.d:
         out.extend(_x_factors(cx))
         f = _quotient(f, _x_form(cx))
-    cy = common_component(_x_coefficient_conics(f))
+    cy = common_component([q for q in conic_coefficients(f) if not q.is_zero()])
     if cy is not None:
         out.extend(_y_factors(cy))
         f = _quotient(f, _y_form(cy))
@@ -142,14 +142,6 @@ def _x_content(f: BiPoly) -> BinForm:
         if g.d == 0:
             break
     return g
-
-
-def _x_coefficient_conics(f: BiPoly) -> List[AffinePoly]:
-    """The nonzero conics in y that multiply the x-monomials of f."""
-    conics: dict = {}
-    for m, c in f.terms.items():
-        conics.setdefault(m[:2], {})[m[2:]] = c
-    return [AffinePoly(Y_VARS, terms) for terms in conics.values()]
 
 
 def _x_form(b: BinForm) -> BiPoly:

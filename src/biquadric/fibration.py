@@ -258,11 +258,12 @@ def classify_fibre(f: BiPoly, p1) -> FibreClass:
 # Conic helpers (quadratic forms in y over an exact field)
 
 
-def conic_coefficients(f: BiPoly) -> Tuple[AffinePoly, AffinePoly, AffinePoly]:
-    """The three conics A, B, C with f = A x0^2 + B x0 x1 + C x1^2."""
-    if f.bidegree != (2, 2):
-        raise ValueError("requires bidegree (2, 2)")
-    conics = [dict(), dict(), dict()]
+def conic_coefficients(f: BiPoly) -> Tuple[AffinePoly, ...]:
+    """The conics in y that multiply x0^(d1-i) x1^i in f, i = 0, ..., d1; at
+    bidegree (2, 2) these are A, B, C with f = A x0^2 + B x0 x1 + C x1^2."""
+    if f.bidegree[1] != 2:
+        raise ValueError("requires y-degree 2")
+    conics = [dict() for _ in range(f.bidegree[0] + 1)]
     for m, c in f.terms.items():
         conics[m[1]][m[2:]] = c
     return tuple(AffinePoly(Y_VARS, terms) for terms in conics)

@@ -12,6 +12,7 @@ from biquadric.fibration import (
     PhiSigmaKind,
     binform_gcd,
     classify_fibre,
+    conic_coefficients,
     contracted_sections,
     discriminant,
     fibre_matrix,
@@ -161,6 +162,14 @@ class TestContractedSections:
     def test_smooth_surface_has_none(self):
         out = contracted_sections(SMOOTH)
         assert isinstance(out, FiniteSections) and out.points == ()
+
+
+class TestConicCoefficients:
+    def test_lower_x_degree_keeps_zero_conics(self):
+        f = BiPoly((1, 2), {(0, 1, 1, 1, 0): Fraction(2)})
+        out = conic_coefficients(f)
+        assert len(out) == 2 and out[0].is_zero()
+        assert out[1].terms == {(1, 1, 0): 2}
 
 
 class TestPhiSigma:
