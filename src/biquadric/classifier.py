@@ -28,10 +28,8 @@ from .bipoly import (
 from .factorizer import Factor, bihomogeneous_factor
 from .fibration import (
     BinForm,
-    FibreLabel,
     PhiSigmaKind,
     binform_gcd,
-    classify_fibre,
     conic_coefficients,
     conic_gram,
     conic_of,
@@ -40,8 +38,10 @@ from .fibration import (
     matrix_rank,
     normalize_projective,
     phi_sigma_constant,
+    polar,
     proportional,
     ramified_along,
+    restrict_x,
     split_conic,
 )
 from .oneps import LimitKind, Weight, limit, mu
@@ -51,11 +51,8 @@ from .singularity import (
     HorizontalSection,
     Point,
     SingularLocus,
-    SingularPointRecord,
     point_frame,
-    restrict_x,
     singular_locus,
-    tangent_cone,
     y_linear_coeffs,
 )
 from .weightlp import find_destabilizing_weight
@@ -126,22 +123,6 @@ class Verdict:
 # Frame construction
 
 
-@dataclass(frozen=True)
-class PointOnly:
-    pass
-
-
-@dataclass(frozen=True)
-class TangentLine:
-    line: Tuple[object, object, object]
-
-
-@dataclass(frozen=True)
-class FibreComponents:
-    main: Tuple[object, object, object]
-    other: Tuple[object, object, object]
-
-
 IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 IDENTITY3 = (
     (Fraction(1), Fraction(0), Fraction(0)),
@@ -177,37 +158,16 @@ def _complete_basis2(row0):
     return (tuple(row0), row1)
 
 
-def _x_frame_rows(p1):
-    """Rows of a 2x2 frame moving the P^1 point p1 to [1, 0]."""
-    p1 = normalize_projective(p1)
-    return _complete_basis2(p1)
-
-
-def normalize_frame(f: BiPoly, P: Point, alignment=PointOnly()) -> FrameChange:
-    """A frame moving P to [1,0] x [1,0,0] and the alignment lines to
-    coordinate lines: a TangentLine goes to Z(y2); FibreComponents go to
-    Z(y2) (main) and Z(y1) (other)."""
-    p1, p2 = P
-    p2n = normalize_projective(p2)
-    g2 = _x_frame_rows(p1)
-    if isinstance(alignment, PointOnly):
-        frame = point_frame(P)
-    elif isinstance(alignment, TangentLine):
-        line = alignment.line
-        if not is_zero_scalar(_line_value(line, p2n)):
+def normalize_frame(f: BiPoly, P: Point, line=None) -> FrameChange:
+    """A frame moving P to [1,0] x [1,0,0] and, if given, the plane line
+    through P's plane point to Z(y2)."""
+    frame = point_frame(P)
+    if line is not None:
+        p2 = frame.g3[0]
+        if not is_zero_scalar(_line_value(line, p2)):
             raise ValueError("alignment line does not pass through the point")
-        row1 = _point_on_line(line, avoid=p2n)
-        frame = FrameChange(g2, _complete_basis3(p2n, row1))
-    elif isinstance(alignment, FibreComponents):
-        for line in (alignment.main, alignment.other):
-            if not is_zero_scalar(_line_value(line, p2n)):
-                raise ValueError("alignment line does not pass through the point")
-        row1 = _point_on_line(alignment.main, avoid=p2n)
-        row2 = _point_on_line(alignment.other, avoid=p2n)
-        frame = FrameChange(g2, (tuple(p2n), tuple(row1), tuple(row2)))
-    else:
-        raise TypeError(f"unknown alignment: {alignment!r}")
-    if not is_zero_scalar(f.evaluate(p1, p2)):
+        frame = FrameChange(frame.g2, _complete_basis3(p2, _point_on_line(line, avoid=p2)))
+    if not is_zero_scalar(f.evaluate(*P)):
         raise ValueError("the point does not lie on the surface")
     return frame
 
@@ -258,13 +218,6 @@ def _verified(cert: Certificate, f: BiPoly) -> Certificate:
 # Semi-stability (irreducible surfaces)
 
 
-def _cone_is_pullback(f: BiPoly, P: Point) -> bool:
-    """True iff the degree-2 chart part at P involves only the plane
-    variables (no transverse x-direction)."""
-    cone = tangent_cone(f, P)
-    return all(e[0] == 0 for e in cone.terms)
-
-
 def check_semistability_conditions(
     f: BiPoly, locus: SingularLocus
 ) -> Tuple[List[ConditionRecord], Optional[Certificate]]:
@@ -277,13 +230,14 @@ def check_semistability_conditions(
     def note(subject, clause, violated, weight=None):
         records.append(ConditionRecord(subject, clause, violated, weight))
 
-    # Condition (i): tangent cone pulled back from the plane.
+    # Condition (i): tangent cone pulled back from the plane, that is, free
+    # of the transverse chart variable x1.
     for rec in locus.isolated_points:
-        violated = _cone_is_pullback(f, rec.point)
+        violated = all(e[0] == 0 for e in rec.tangent_cone.terms)
         note(_fmt_point(rec.point), "ConePullback", violated,
              W_CONE_PULLBACK if violated else None)
         if violated and cert is None:
-            frame = normalize_frame(f, rec.point, PointOnly())
+            frame = normalize_frame(f, rec.point)
             cert = _verified(Certificate(frame, W_CONE_PULLBACK, MuSign.POSITIVE), f)
     # Condition (ii): non-reduced fibre inside the ramification locus.  A
     # ramified double-line fibre is singular along the whole line, so the
@@ -297,20 +251,19 @@ def check_semistability_conditions(
              W_RAMIFIED_DOUBLE_FIBRE if violated else None)
         if violated and cert is None:
             p2 = _point_on_line(comp.line)
-            frame = normalize_frame(f, (comp.p1, p2), TangentLine(comp.line))
+            frame = normalize_frame(f, (comp.p1, p2), line=comp.line)
             cert = _verified(
                 Certificate(frame, W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f
             )
     for rec in locus.isolated_points:
-        p1, p2 = rec.point
-        fibre = classify_fibre(f, p1)
-        if fibre.label is FibreLabel.DOUBLE_LINE:
+        if rec.fibre_rank == 1:  # a double-line fibre
+            p1 = rec.point[0]
             line = _double_line_of(f, p1)
             violated = ramified_along(f, p1, line)
             note(_fmt_point(rec.point), "RamifiedDoubleFibre", violated,
                  W_RAMIFIED_DOUBLE_FIBRE if violated else None)
             if violated and cert is None:
-                frame = normalize_frame(f, rec.point, TangentLine(line))
+                frame = normalize_frame(f, rec.point, line=line)
                 cert = _verified(
                     Certificate(frame, W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f
                 )
@@ -319,10 +272,9 @@ def check_semistability_conditions(
     # contracted section through the point.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        fibre = classify_fibre(f, p1)
-        if fibre.label is not FibreLabel.TWO_DISTINCT_LINES:
+        if rec.fibre_rank != 2:  # not a pair of distinct lines
             continue
-        if not _on_some_section(normalize_projective(p2), locus.section_points):
+        if not _on_some_section(p2, locus.section_points):
             continue
         ps = phi_sigma_constant(f, p2)
         if ps.kind is not PhiSigmaKind.CONSTANT:
@@ -339,7 +291,7 @@ def check_semistability_conditions(
         note(_fmt_point(rec.point), "RamifiedComponentWithContractedSection",
              violated, W_RAMIFIED_COMPONENT if violated else None)
         if violated and cert is None:
-            frame = normalize_frame(f, rec.point, TangentLine(ps.line))
+            frame = normalize_frame(f, rec.point, line=ps.line)
             cert = _verified(
                 Certificate(frame, W_RAMIFIED_COMPONENT, MuSign.POSITIVE), f
             )
@@ -403,25 +355,14 @@ def check_stability_conditions(
     """
     records: List[ConditionRecord] = []
     cert: Optional[Certificate] = None
-
-    def sing_on_section(p2):
-        out = []
-        for rec in locus.isolated_points:
-            try:
-                if proportional(normalize_projective(rec.point[1]), p2):
-                    out.append(rec)
-            except ValueError:
-                continue
-        return out
-
     # Constant tangent map along a section with at most A1 points on it.
     for p2 in locus.section_points:
         p2n = normalize_projective(p2)
         ps = phi_sigma_constant(f, p2)
         if ps.kind is PhiSigmaKind.UNDEFINED:
             raise ValueError("singular contracted section: input is unstable")
-        here = sing_on_section(p2n)
-        all_a1 = all(rec.local_type.is_a1 for rec in here)
+        all_a1 = all(rec.local_type.is_a1 for rec in locus.isolated_points
+                     if _on_some_section(rec.point[1], (p2n,)))
         violated = ps.kind is PhiSigmaKind.CONSTANT and all_a1
         records.append(ConditionRecord(
             f"section through {_fmt_p2(p2n)}", "ConstantTangentMap", violated,
@@ -434,8 +375,7 @@ def check_stability_conditions(
     for rec in locus.isolated_points:
         if rec.local_type.is_a1:
             continue
-        p2n = normalize_projective(rec.point[1])
-        if not _on_some_section(p2n, locus.section_points):
+        if not _on_some_section(rec.point[1], locus.section_points):
             continue
         records.append(ConditionRecord(
             _fmt_point(rec.point), "NonA1OnContractedSection", True,
@@ -447,15 +387,14 @@ def check_stability_conditions(
     for rec in locus.isolated_points:
         if rec.local_type.is_a1:
             continue
-        fibre = classify_fibre(f, rec.point[0])
-        if fibre.label is not FibreLabel.DOUBLE_LINE:
+        if rec.fibre_rank != 1:  # not a double-line fibre
             continue
         records.append(ConditionRecord(
             _fmt_point(rec.point), "NonA1NonReducedFibre", True,
             W_NON_A1_DOUBLE_FIBRE))
         if cert is None:
             line = _double_line_of(f, rec.point[0])
-            frame = normalize_frame(f, rec.point, TangentLine(line))
+            frame = normalize_frame(f, rec.point, line=line)
             cert = _verified(
                 Certificate(frame, W_NON_A1_DOUBLE_FIBRE, MuSign.ZERO), f
             )
@@ -505,12 +444,7 @@ def _conic_point_and_tangent(conic):
         raise ValueError("conic is singular along Z(y2)")
     r = BinForm(2, (c00, c01, c11)).roots()[0][0]
     p = (r[0], r[1], Fraction(0))
-    gram = conic_gram(conic)
-    tangent = tuple(
-        sum((gram[i][j] * p[j] for j in range(1, 3)), gram[i][0] * p[0])
-        for i in range(3)
-    )
-    return p, tangent
+    return p, polar(conic_gram(conic), p)
 
 
 def _split_surface_frame(x_rows, conic) -> FrameChange:
@@ -691,12 +625,13 @@ def random_destabilize_search(
             frame = FrameChange.identity()
         else:
             frame = FrameChange(_random_rows(rng, 2), _random_rows(rng, 3))
-        support = set(act(frame, f).terms)
+        moved = act(frame, f)
+        support = set(moved.terms)
         for strict in (True, False):
             w = find_destabilizing_weight(support, strict)
             if w is None:
                 continue
-            value = mu(act(frame, f), w)
+            value = mu(moved, w)
             sign = MuSign.POSITIVE if value > 0 else MuSign.ZERO
             cert = Certificate(frame, w, sign)
             if cert.verify(f):

@@ -203,6 +203,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_singular_locus(args) -> int:
+    if args.cutoff < 2:
+        raise ParseError(f"--cutoff must be at least 2, got {args.cutoff}")
     f = read_poly(args.poly)
     locus = singular_locus(f, cutoff=args.cutoff)
     points = []

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bipoly import AffinePoly, BiPoly, FrameChange, Y_VARS, act, det3, inv3, is_scalar_multiple
+from .bipoly import AffinePoly, BiPoly, Y_VARS, det3, inv3, is_scalar_multiple
 from .scalars import (
     UniPoly,
     is_zero_scalar,
@@ -269,6 +269,21 @@ def conic_coefficients(f: BiPoly) -> Tuple[AffinePoly, ...]:
     return tuple(AffinePoly(Y_VARS, terms) for terms in conics)
 
 
+def restrict_x(f: BiPoly, p1) -> AffinePoly:
+    """Evaluate the x-variables at a P^1 point, leaving a form in y."""
+    terms: Dict[Tuple[int, int, int], object] = {}
+    for m, c in f.terms.items():
+        v = c
+        if m[0]:
+            v = v * p1[0] ** m[0]
+        if m[1]:
+            v = v * p1[1] ** m[1]
+        if is_zero_scalar(v):
+            continue
+        terms[m[2:]] = terms.get(m[2:], Fraction(0)) + v
+    return AffinePoly(Y_VARS, terms)
+
+
 def conic_of(factor: BiPoly) -> AffinePoly:
     """The conic in y of a form of bidegree (0, 2)."""
     return AffinePoly(Y_VARS, {m[2:]: c for m, c in factor.terms.items()})
@@ -298,6 +313,12 @@ def bilinear(g, u, v):
             if not is_zero_scalar(g[i][j]):
                 acc = acc + g[i][j] * u[i] * v[j]
     return acc
+
+
+def polar(g, p):
+    """The polar line g p of the point p for the conic with Gram matrix g;
+    at a point of the conic it is the tangent line there."""
+    return tuple(sum((g[i][j] * p[j] for j in range(1, 3)), g[i][0] * p[0]) for i in range(3))
 
 
 def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
@@ -522,40 +543,26 @@ class PhiSigma:
     line: Optional[Tuple[object, object, object]] = None  # original y-coordinates
 
 
-def frame_moving_p2(p2) -> FrameChange:
-    """Identity on x; moves the P^2 point p2 to [1, 0, 0]."""
-    p2 = normalize_projective(p2)
-    pivot = next(i for i in range(3) if not is_zero_scalar(p2[i]))
-    others = [i for i in range(3) if i != pivot]
-    rows = [tuple(p2)]
-    for i in others:
-        rows.append(tuple(Fraction(1) if j == i else Fraction(0) for j in range(3)))
-    return FrameChange(((1, 0), (0, 1)), tuple(rows))
-
-
 def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
     """Constancy of the fibre tangent-line map along the contracted section
-    P^1 x {p2}."""
-    g = frame_moving_p2(p2)
-    fg = act(g, f)
-    A, B, C = conic_coefficients(fg)
+    P^1 x {p2}.
+
+    The fibre over x is tangent at p2 to the polar line of its conic, a
+    combination of the polar rows G_A p2, G_B p2, G_C p2 of A, B and C: the
+    map is constant iff these rows span at most one line.
+    """
     rows = []
-    for q in (A, B, C):
-        if not is_zero_scalar(q.coefficient((2, 0, 0))):
+    for q in conic_coefficients(f):
+        g = conic_gram(q)
+        if not is_zero_scalar(bilinear(g, p2, p2)):
             raise ValueError("p2 is not a contracted-section point")
-        rows.append((q.coefficient((1, 1, 0)), q.coefficient((1, 0, 1))))
+        rows.append(polar(g, p2))
     rank = matrix_rank(rows)
     if rank == 0:
         return PhiSigma(PhiSigmaKind.UNDEFINED)
     if rank >= 2:
         return PhiSigma(PhiSigmaKind.NON_CONSTANT)
-    u, v = next(r for r in rows if not all(is_zero_scalar(c) for c in r))
-    # line u*y1 + v*y2 = 0 in the moved frame; pull back to input coordinates
-    new_line = (Fraction(0), u, v)
-    g3inv = inv3(g.g3)
-    line = tuple(
-        sum((g3inv[i][j] * new_line[j] for j in range(3)), Fraction(0)) for i in range(3)
-    )
+    line = next(r for r in rows if not all(is_zero_scalar(c) for c in r))
     return PhiSigma(PhiSigmaKind.CONSTANT, normalize_projective(line))
 
 
@@ -563,24 +570,14 @@ def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
 # Ramification of a fibre line
 
 
-def frame_moving_p1(p1) -> FrameChange:
-    """Identity on y; moves the P^1 point p1 to [1, 0]."""
-    p1 = normalize_projective(p1)
-    if not is_zero_scalar(p1[0]):
-        rows = ((tuple(p1)), (0, 1))
-    else:
-        rows = ((tuple(p1)), (1, 0))
-    return FrameChange(rows, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-
 def ramified_along(f: BiPoly, p1, line) -> bool:
     """True iff the transverse x-derivative of f at the fibre over p1 vanishes
-    identically on the fibre line Z(line)."""
-    g = frame_moving_p1(p1)
-    fg = act(g, f)
-    A, B, C = conic_coefficients(fg)
-    # fibre over [1, 0] is Z(A); the line must lie on it
-    if not line_divides_conic(line, A):
+    identically on the fibre line Z(line).
+
+    By Euler's relation p1[0] f_x0 + p1[1] f_x1 = 2 f on the fibre over p1,
+    and f vanishes on the line, so every x-derivative vanishes there iff
+    both partials f_x0 and f_x1 do.
+    """
+    if not line_divides_conic(line, restrict_x(f, p1)):
         raise ValueError("the line is not contained in the fibre over p1")
-    # d f / d x1 at x = [1, 0] equals B (the coefficient of x0 x1)
-    return line_divides_conic(line, B) if not B.is_zero() else True
+    return all(line_divides_conic(line, restrict_x(f.partial(v), p1)) for v in ("x0", "x1"))

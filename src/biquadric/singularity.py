@@ -17,7 +17,6 @@ from .bipoly import (
     AffinePoly,
     BiPoly,
     FrameChange,
-    Y_VARS,
     act,
     adjugate3,
     det3,
@@ -27,18 +26,16 @@ from .factorizer import bihomogeneous_factor
 from .fibration import (
     BinForm,
     binform_gcd,
-    classify_fibre,
     conic_gram,
     contracted_sections,
     CurveOfSections,
     discriminant,
     fibre_matrix,
-    frame_moving_p1,
-    frame_moving_p2,
     matrix_kernel,
     matrix_rank,
     normalize_projective,
     proportional,
+    restrict_x,
 )
 from .scalars import (
     UniPoly,
@@ -72,21 +69,6 @@ def is_singular_at(f: BiPoly, P: Point) -> bool:
     return all(is_zero_scalar(v) for v in evaluate_partials(f, P))
 
 
-def restrict_x(f: BiPoly, p1) -> AffinePoly:
-    """Evaluate the x-variables at a P^1 point, leaving a form in y."""
-    terms: Dict[Tuple[int, int, int], object] = {}
-    for m, c in f.terms.items():
-        v = c
-        if m[0]:
-            v = v * p1[0] ** m[0]
-        if m[1]:
-            v = v * p1[1] ** m[1]
-        if is_zero_scalar(v):
-            continue
-        terms[m[2:]] = terms.get(m[2:], Fraction(0)) + v
-    return AffinePoly(Y_VARS, terms)
-
-
 def restrict_y(f: BiPoly, p2) -> BinForm:
     """Evaluate the y-variables at a P^2 point, leaving a binary form in x."""
     d1 = f.bidegree[0]
@@ -105,11 +87,13 @@ def restrict_y(f: BiPoly, p2) -> BinForm:
 
 
 def point_frame(P: Point) -> FrameChange:
-    """A frame moving P to [1,0] x [1,0,0]."""
-    p1, p2 = P
-    g1 = frame_moving_p1(p1)
-    g2 = frame_moving_p2(p2)
-    return FrameChange(g1.g2, g2.g3)
+    """A frame moving P to [1,0] x [1,0,0]: the first row of each matrix is
+    the normalized point, the others are coordinate vectors completing it."""
+    p1, p2 = (normalize_projective(p) for p in P)
+    x_rows = (p1, (0, 1) if not is_zero_scalar(p1[0]) else (1, 0))
+    pivot = next(i for i in range(3) if not is_zero_scalar(p2[i]))
+    y_rows = (p2,) + tuple(tuple(int(j == i) for j in range(3)) for i in range(3) if i != pivot)
+    return FrameChange(x_rows, y_rows)
 
 
 def chart_local(f: BiPoly, P: Point) -> AffinePoly:
@@ -235,6 +219,8 @@ def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
     exactly the pivot rows led below k, so the rank at level k is the number
     of pivots of degree < k once all rows of minimal degree < k are inserted.
     """
+    if cutoff < 2:
+        raise ValueError("a cutoff below 2 compares no two truncation levels")
     if not f_affine.degree_part(0).is_zero() or not f_affine.degree_part(1).is_zero():
         raise ValueError("the origin is not a singular point")
     gens = [f_affine] + [f_affine.partial(v) for v in f_affine.vars]
@@ -374,6 +360,7 @@ class SingularPointRecord:
     local_type: LocalType
     tangent_cone: AffinePoly
     hessian_det: object
+    fibre_rank: int  # rank of the fibre conic over the point's P^1 coordinate
 
 
 @dataclass(frozen=True)
@@ -434,7 +421,7 @@ def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
         if any(_point_on_component(P, comp) for comp in unique_components):
             continue
         unique_points.append(P)
-    records = tuple(_make_record(f, P, cutoff) for P in unique_points)
+    records = tuple(_make_record(f, P, cutoff, pencil) for P in unique_points)
     return SingularLocus(records, tuple(unique_components), cs.points)
 
 
@@ -456,10 +443,11 @@ def _point_on_component(P: Point, comp: CurveComponent) -> bool:
     return False
 
 
-def _make_record(f: BiPoly, P: Point, cutoff: int) -> SingularPointRecord:
+def _make_record(f: BiPoly, P: Point, cutoff: int, pencil) -> SingularPointRecord:
     local = chart_local(f, P)
     cone = local.degree_part(2)
-    return SingularPointRecord(P, classify_local(local, cutoff), cone, hessian_det(cone))
+    return SingularPointRecord(P, classify_local(local, cutoff), cone, hessian_det(cone),
+                               matrix_rank(pencil.evaluate(P[0])))
 
 
 def _fibre_singularities(f, pencil, fx0, fx1, p1pt):

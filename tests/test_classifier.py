@@ -8,14 +8,15 @@ from biquadric.bipoly import BiPoly, FrameChange, act, parse
 from biquadric.classifier import (
     Certificate,
     MuSign,
-    PointOnly,
     StabilityClass,
-    TangentLine,
     classify,
     normalize_frame,
     random_destabilize_search,
 )
+from biquadric import fibration, singularity
+from biquadric.factorizer import bihomogeneous_factor
 from biquadric.oneps import Weight, mu
+from biquadric.singularity import singular_locus
 from conftest import EXPECTED_CLASS, random_poly, random_unimodular
 
 W = Weight.parse
@@ -122,7 +123,7 @@ class TestNormalizeFrame:
     def test_moves_point_to_origin(self, fixtures):
         f = fixtures["stable_higher_sing"]
         P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
-        frame = normalize_frame(f, P, PointOnly())
+        frame = normalize_frame(f, P)
         moved = act(frame, f)
         assert moved.evaluate((1, 0), (1, 0, 0)) == 0
 
@@ -130,7 +131,7 @@ class TestNormalizeFrame:
         f = fixtures["constant_tangent"]
         P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
         line = (Fraction(0), Fraction(0), Fraction(1))  # Z(y2) through [1,0,0]
-        frame = normalize_frame(f, P, TangentLine(line))
+        frame = normalize_frame(f, P, line=line)
         moved = act(frame, f)
         assert moved.evaluate((1, 0), (1, 0, 0)) == 0
 
@@ -138,14 +139,43 @@ class TestNormalizeFrame:
         f = parse("x0^2*y0^2")
         P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
         with pytest.raises(ValueError):
-            normalize_frame(f, P, PointOnly())
+            normalize_frame(f, P)
 
     def test_line_missing_point_rejected(self, fixtures):
         f = fixtures["constant_tangent"]
         P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
         line = (Fraction(1), Fraction(0), Fraction(0))  # Z(y0) misses [1,0,0]
         with pytest.raises(ValueError):
-            normalize_frame(f, P, TangentLine(line))
+            normalize_frame(f, P, line=line)
+
+
+class TestLocalGeometryComputedOnce:
+    def test_one_chart_per_point_and_one_pencil(self, fixtures, monkeypatch):
+        calls = {"chart_local": 0, "fibre_matrix": 0}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(singularity, "chart_local")
+        count(singularity, "fibre_matrix")
+        count(fibration, "fibre_matrix")
+        rng = random.Random(31)
+        forms = list(fixtures.values()) + [act(random_unimodular(rng), f) for f in fixtures.values()]
+        points = 0
+        for f in forms:
+            if len(bihomogeneous_factor(f)) >= 2:
+                continue
+            n = len(singular_locus(f).isolated_points)
+            points += n
+            calls.update(chart_local=0, fibre_matrix=0)
+            classify(f)
+            assert calls == {"chart_local": n, "fibre_matrix": 1}
+        assert points >= 10
 
 
 class TestRandomSearch:

@@ -8,6 +8,9 @@ from conftest import FIXTURES
 
 CMD = [sys.executable, "-m", "biquadric.cli"]
 
+# Two A3 points at the default cutoff.
+TWO_A3 = "x0^2*y1^2 + x1^2*y2^2 + x0*x1*y0^2"
+
 
 def run_cli(*args, stdin=None):
     return subprocess.run(
@@ -125,6 +128,11 @@ class TestOtherSubcommands:
         assert doc["smooth"] is False
         assert any(c["kind"] == "HorizontalSection" for c in doc["curves"])
 
+    def test_lowest_cutoff_accepted(self):
+        out = run_cli("singular-locus", "--cutoff=2", TWO_A3)
+        assert out.returncode == 0
+        assert out.stdout.startswith("smooth: False")
+
     def test_boundary(self):
         out = run_cli("boundary", FIXTURES["non_a1_double_fibre"])
         assert out.returncode == 0
@@ -173,9 +181,13 @@ class TestExitCodes:
         (("verify-cert", "--stdin"), {"frame": {"g2": [["1/0", "0"], ["0", "1"]],
                                                 "g3": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
                                       "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
+        (("singular-locus", "--cutoff=1", TWO_A3), None, 2),
+        (("singular-locus", "--cutoff=0", TWO_A3), None, 2),
+        (("singular-locus", "--cutoff=-3", TWO_A3), None, 2),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
-            "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator"])
+            "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
+            "cutoff-1", "cutoff-0", "cutoff-negative"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from biquadric.bipoly import BiPoly, FrameChange, act, parse
+from biquadric import classifier
+from biquadric.bipoly import BiPoly, FrameChange, act, inv3, parse
+from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
     CurveOfSections,
     FibreLabel,
     FiniteSections,
+    PhiSigma,
     PhiSigmaKind,
     binform_gcd,
     classify_fibre,
@@ -16,11 +19,21 @@ from biquadric.fibration import (
     contracted_sections,
     discriminant,
     fibre_matrix,
+    line_divides_conic,
+    matrix_rank,
+    normalize_projective,
     phi_sigma_constant,
     ramified_along,
 )
-from biquadric.scalars import NumberFieldElement, UniPoly, scalar_inv, uv_squarefree_decomposition
-from conftest import random_poly
+from biquadric.scalars import (
+    NumberFieldElement,
+    UniPoly,
+    is_zero_scalar,
+    scalar_inv,
+    uv_squarefree_decomposition,
+)
+from biquadric.singularity import point_frame, singular_locus
+from conftest import MONOMIALS, random_poly, random_unimodular
 
 SMOOTH = parse("x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2) + x1^2*(y0^2+2*y1^2+3*y2^2+y0*y2)")
 
@@ -214,6 +227,105 @@ class TestRamifiedAlong:
     def test_containment_precondition(self):
         with pytest.raises(ValueError):
             ramified_along(SMOOTH, (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
+
+
+# Frame-move references: the same two questions answered by moving f so that
+# the point becomes a coordinate point and reading coefficients there.
+
+
+def moved_phi_sigma(f, p2):
+    """Move p2 to [1, 0, 0]; the y0*y1 and y0*y2 coefficients of A, B and C
+    are the polar rows, and the line pulls back through the inverse frame."""
+    g = point_frame(((Fraction(1), Fraction(0)), p2))
+    rows = []
+    for q in conic_coefficients(act(g, f)):
+        if not is_zero_scalar(q.coefficient((2, 0, 0))):
+            raise ValueError("p2 is not a contracted-section point")
+        rows.append((q.coefficient((1, 1, 0)), q.coefficient((1, 0, 1))))
+    rank = matrix_rank(rows)
+    if rank == 0:
+        return PhiSigma(PhiSigmaKind.UNDEFINED)
+    if rank >= 2:
+        return PhiSigma(PhiSigmaKind.NON_CONSTANT)
+    u, v = next(r for r in rows if not all(is_zero_scalar(c) for c in r))
+    g3inv = inv3(g.g3)
+    line = tuple(g3inv[i][1] * u + g3inv[i][2] * v for i in range(3))
+    return PhiSigma(PhiSigmaKind.CONSTANT, normalize_projective(line))
+
+
+def moved_ramified_along(f, p1, line):
+    """Move p1 to [1, 0]; the fibre is Z(A) and the transverse derivative is
+    B, the coefficient of x0*x1."""
+    g = point_frame((p1, (Fraction(1), Fraction(0), Fraction(0))))
+    A, B, _C = conic_coefficients(act(g, f))
+    if not line_divides_conic(line, A):
+        raise ValueError("the line is not contained in the fibre over p1")
+    return line_divides_conic(line, B)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _section_forms(rng, count):
+    """Sparse forms with no y0^2 term, so [1, 0, 0] is a contracted-section
+    point, moved by random unimodular frames."""
+    no_y0_squared = [m for m in MONOMIALS if m[2] < 2]
+    out = []
+    while len(out) < count:
+        terms = {m: Fraction(rng.randint(-2, 2)) for m in no_y0_squared if rng.random() < 0.4}
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            out.append(act(random_unimodular(rng), BiPoly((2, 2), terms)))
+    return out
+
+
+class TestGradientsMatchFrameMoves:
+    """ramified_along and phi_sigma_constant against their frame-move
+    references on every argument the condition checks pass them, and each
+    point's recorded fibre rank against classify_fibre."""
+
+    def test_condition_check_arguments(self, fixtures, monkeypatch):
+        visits = {"ramified": [], "phi": []}
+
+        def compared(new, reference, key):
+            def wrapper(*args):
+                expected = _outcome(reference, *args)
+                got = _outcome(new, *args)
+                assert got == expected, args
+                visits[key].append(got)
+                if got is ValueError:
+                    raise ValueError("reference raised too")
+                return got
+            return wrapper
+
+        monkeypatch.setattr(classifier, "ramified_along",
+                            compared(ramified_along, moved_ramified_along, "ramified"))
+        monkeypatch.setattr(classifier, "phi_sigma_constant",
+                            compared(phi_sigma_constant, moved_phi_sigma, "phi"))
+        rng = random.Random(23)
+        forms = [act(random_unimodular(rng), f) for f in fixtures.values() for _ in range(3)]
+        forms += _section_forms(rng, 40)
+        points = 0
+        for f in forms:
+            if len(bihomogeneous_factor(f)) >= 2:
+                continue
+            locus = singular_locus(f)
+            for rec in locus.isolated_points:
+                assert rec.fibre_rank == classify_fibre(f, rec.point[0]).rank
+                points += 1
+            classifier.check_semistability_conditions(f, locus)
+            try:
+                classifier.check_stability_conditions(f, locus)
+            except ValueError:
+                pass  # a singular contracted section
+        assert points >= 20
+        assert True in visits["ramified"] and False in visits["ramified"]
+        kinds = {ps.kind for ps in visits["phi"] if ps is not ValueError}
+        assert kinds == set(PhiSigmaKind)
 
 
 class TestBinFormGcd:

@@ -188,6 +188,12 @@ class TestCoefficientRegimes:
         assert classify_singularity(f, ORIGIN).label == "NonIsolatedSuspected(10)"
         assert local_algebra_dim(chart_local(f, ORIGIN)).label == "NotStabilized"
 
+    def test_cutoff_below_two_rejected(self):
+        local = chart_local(base_point_family(1, 1, 2, 1, 1, 2, -1, 2, 1, -1, 1), ORIGIN)
+        for cutoff in (1, 0, -3):
+            with pytest.raises(ValueError):
+                local_algebra_dim(local, cutoff)
+
 
 class TestQuasiHomogeneous:
     def test_cusp(self):
