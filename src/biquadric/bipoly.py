@@ -485,8 +485,8 @@ class FrameChange:
     """A coordinate change: invertible 2x2 and 3x3 matrices acting by substitution.
 
     Determinant-one normalization is deliberately not required; verdicts are
-    invariant under the extra scalar factors because weights downstream are
-    recentered to trace zero.
+    invariant under the extra scalar factors because weights have zero row
+    sums.
     """
 
     __slots__ = ("g2", "g3")
@@ -504,9 +504,6 @@ class FrameChange:
     @classmethod
     def identity(cls) -> "FrameChange":
         return cls(((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def inverse(self) -> "FrameChange":
-        return FrameChange(inv2(self.g2), inv3(self.g3))
 
     def compose(self, other: "FrameChange") -> "FrameChange":
         """The frame whose action equals acting by `other` then by `self`."""
@@ -548,12 +545,6 @@ def cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-
-
-def inv2(m):
-    d = det2(m)
-    di = scalar_inv(d)
-    return ((m[1][1] * di, -m[0][1] * di), (-m[1][0] * di, m[0][0] * di))
 
 
 def adjugate3(m):

@@ -44,8 +44,8 @@ from .fibration import (
     restrict_x,
     split_conic,
 )
-from .oneps import LimitKind, Weight, limit, mu
-from .scalars import format_scalar, is_zero_scalar
+from .oneps import Weight, mu
+from .scalars import NumberFieldElement, UniPoly, format_scalar, is_zero_scalar, uv_gcd
 from .singularity import (
     FibreLine,
     HorizontalSection,
@@ -197,13 +197,30 @@ def _double_line_of(f: BiPoly, p1):
 
 
 def _on_some_section(p2, section_points) -> bool:
-    for q in section_points:
-        try:
-            if proportional(p2, q):
-                return True
-        except ValueError:
-            continue
-    return False
+    """True iff p2 is a Galois conjugate of one of the section points.  The
+    singular locus keeps one point of each Galois orbit, over the field of
+    its own coordinates, so one point may be written over two fields."""
+    return any(_conjugate(p2, q) for q in section_points)
+
+
+def _conjugate(p, q) -> bool:
+    """True iff the projective points p and q are Galois conjugate.
+
+    Normalized, the conjugates of a point p over Q[t]/(m) are p(T) at the
+    roots T of m; so q is one of them iff m(T) and every p_i(T) - q_i have
+    a common root, that is a nonconstant gcd over the field of q.
+    """
+    p, q = normalize_projective(p), normalize_projective(q)
+    modulus = next((c.modulus for c in p if isinstance(c, NumberFieldElement)), None)
+    if modulus is None:
+        if any(isinstance(c, NumberFieldElement) for c in q):
+            return _conjugate(q, p)
+        return p == q
+    g = UniPoly(modulus)
+    for pi, qi in zip(p, q):
+        residue = pi.residue if isinstance(pi, NumberFieldElement) else (pi,)
+        g = uv_gcd(g, UniPoly(residue) - qi)
+    return g.degree >= 1
 
 
 def _verified(cert: Certificate, f: BiPoly) -> Certificate:

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import boundary as boundary_mod
 from .bipoly import BiPoly, FrameChange, ParseError, act, parse
@@ -27,7 +26,7 @@ from .classifier import (
     random_destabilize_search,
 )
 from .factorizer import bihomogeneous_factor
-from .fibration import classify_fibre, discriminant, fibre_matrix
+from .fibration import discriminant, fibre_matrix, fibre_rank
 from .oneps import LimitKind, Weight, limit, m_oplus, m_plus, mu
 from .scalars import format_scalar, parse_scalar
 from .singularity import (
@@ -142,6 +141,8 @@ def _emit(report: dict, as_json: bool, text_lines) -> None:
 # Subcommands
 
 def _cmd_classify(args) -> int:
+    if args.trials < 0:
+        raise ParseError(f"--trials must be at least 0, got {args.trials}")
     f = read_poly(args.poly)
     verdict = classify(f)
     report = {
@@ -247,6 +248,10 @@ def _curve_text(comp) -> str:
     return f"{d['kind']}({detail})"
 
 
+# the fibre over a root of the discriminant is singular: rank at most 2
+FIBRE_LABELS = {2: "TwoDistinctLines", 1: "DoubleLine", 0: "WholePlane"}
+
+
 def _cmd_fibres(args) -> int:
     f = read_poly(args.poly)
     disc = discriminant(fibre_matrix(f))
@@ -256,11 +261,8 @@ def _cmd_fibres(args) -> int:
         lines.append("discriminant vanishes identically")
     else:
         for root, mult in disc.roots():
-            try:
-                fc = classify_fibre(f, root)
-                label, rank = fc.label.value, fc.rank
-            except ValueError:
-                label, rank = "WholePlane", 0
+            rank = fibre_rank(f, root)
+            label = FIBRE_LABELS[rank]
             report["roots"].append({
                 "point": [format_scalar(c) for c in root],
                 "multiplicity": mult,

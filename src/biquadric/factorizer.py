@@ -333,47 +333,3 @@ def _sympy_conjugate_key(piece: BiPoly):
     coefficients in descending lex order, each as the list [b, a] of
     a + b sqrt(d) with leading zeros dropped."""
     return [list(reversed(c.residue)) for c in piece.terms.values()]
-
-
-def _factor_field(fac: BiPoly):
-    for c in fac.terms.values():
-        if isinstance(c, NumberFieldElement):
-            return c.modulus
-    return None
-
-
-def _rationalized(f: BiPoly) -> BiPoly:
-    """Demote number-field coefficients that are in fact rational."""
-    terms = {}
-    for m, c in f.terms.items():
-        if isinstance(c, NumberFieldElement) and c.is_rational():
-            c = c.as_fraction()
-        terms[m] = c
-    return BiPoly(f.bidegree, terms)
-
-
-def product_of_factors(factors: List[Factor]) -> BiPoly:
-    """Multiply the factor list back together (for verification).
-
-    Factors over distinct quadratic fields cannot be multiplied directly (no
-    composite fields are constructed), so conjugate groups are multiplied
-    first; each group product is rational.
-    """
-    groups: dict = {}
-    for _bd, fac in factors:
-        groups.setdefault(_factor_field(fac), []).append(fac)
-    partials = []
-    for modulus, facs in groups.items():
-        acc = facs[0]
-        for fac in facs[1:]:
-            acc = acc * fac
-        acc = _rationalized(acc)
-        if modulus is not None and any(
-            isinstance(c, NumberFieldElement) for c in acc.terms.values()
-        ):
-            raise ValueError("conjugate factor group with irrational product")
-        partials.append(acc)
-    acc = partials[0]
-    for p in partials[1:]:
-        acc = acc * p
-    return acc

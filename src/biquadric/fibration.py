@@ -11,7 +11,7 @@ for fibre lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -231,27 +231,10 @@ def proportional(u, v) -> bool:
 # Fibre classification
 
 
-class FibreLabel(Enum):
-    SMOOTH = "Smooth"
-    TWO_DISTINCT_LINES = "TwoDistinctLines"
-    DOUBLE_LINE = "DoubleLine"
-
-
-_RANK_TO_LABEL = {3: FibreLabel.SMOOTH, 2: FibreLabel.TWO_DISTINCT_LINES, 1: FibreLabel.DOUBLE_LINE}
-
-
-@dataclass(frozen=True)
-class FibreClass:
-    rank: int
-    label: FibreLabel
-
-
-def classify_fibre(f: BiPoly, p1) -> FibreClass:
-    m = fibre_matrix(f).evaluate(p1)
-    rank = matrix_rank(m)
-    if rank == 0:
-        raise ValueError("the fibre over this point is the whole plane")
-    return FibreClass(rank, _RANK_TO_LABEL[rank])
+def fibre_rank(f: BiPoly, p1) -> int:
+    """Rank of the fibre conic over p1: 3 smooth, 2 two distinct lines,
+    1 a double line, 0 the whole plane."""
+    return matrix_rank(fibre_matrix(f).evaluate(p1))
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +526,27 @@ class PhiSigma:
     line: Optional[Tuple[object, object, object]] = None  # original y-coordinates
 
 
-def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
-    """Constancy of the fibre tangent-line map along the contracted section
-    P^1 x {p2}.
-
-    The fibre over x is tangent at p2 to the polar line of its conic, a
-    combination of the polar rows G_A p2, G_B p2, G_C p2 of A, B and C: the
-    map is constant iff these rows span at most one line.
-    """
+def polar_rows(f: BiPoly, p2):
+    """The polar rows G_A p2, G_B p2, G_C p2 of A, B and C at a point p2 of
+    a contracted section P^1 x {p2}."""
     rows = []
     for q in conic_coefficients(f):
         g = conic_gram(q)
         if not is_zero_scalar(bilinear(g, p2, p2)):
             raise ValueError("p2 is not a contracted-section point")
         rows.append(polar(g, p2))
+    return rows
+
+
+def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
+    """Constancy of the fibre tangent-line map along the contracted section
+    P^1 x {p2}.
+
+    The fibre over x is tangent at p2 to the polar line of its conic, a
+    combination of the polar rows of A, B and C: the map is constant iff
+    these rows span at most one line.
+    """
+    rows = polar_rows(f, p2)
     rank = matrix_rank(rows)
     if rank == 0:
         return PhiSigma(PhiSigmaKind.UNDEFINED)

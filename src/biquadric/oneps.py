@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import gcd
 from typing import Optional, Set, Tuple
 
 from .bipoly import BiMonomial, BiPoly, all_monomials
@@ -64,25 +62,6 @@ class Weight:
         if len(r) != 2 or len(s) != 3:
             raise ValueError(f"malformed weight {text!r}")
         return cls(r, s)
-
-
-def recenter(raw_r, raw_s) -> Weight:
-    """Project raw rational exponent tuples onto integer zero-sum tuples.
-
-    Subtracting the mean from each tuple shifts every bidegree-(2,2) monomial
-    weight by the same constant, so the ordering of monomial weights (and in
-    particular the argmin set) is unchanged; denominators are then cleared.
-    """
-    raw_r = [Fraction(v) for v in raw_r]
-    raw_s = [Fraction(v) for v in raw_s]
-    mean_r = sum(raw_r) / 2
-    mean_s = sum(raw_s) / 3
-    r = [v - mean_r for v in raw_r]
-    s = [v - mean_s for v in raw_s]
-    denom = 1
-    for v in r + s:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return Weight(tuple(int(v * denom) for v in r), tuple(int(v * denom) for v in s))
 
 
 def monomial_weight(m: BiMonomial, w: Weight) -> int:

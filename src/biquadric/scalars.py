@@ -59,10 +59,6 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls([c])
-
-    @classmethod
     def gen(cls) -> "UniPoly":
         return cls([0, 1])
 
@@ -157,9 +153,6 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
@@ -217,31 +210,6 @@ def uv_xgcd(a: UniPoly, b: UniPoly):
     return r0.monic(), u0 * inv, v0 * inv
 
 
-def uv_squarefree_decomposition(p: UniPoly):
-    """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
-    if p.is_zero():
-        raise ValueError("squarefree decomposition of the zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    out = []
-    dp = p.derivative()
-    a = uv_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = uv_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 def _to_sympy(p: UniPoly):
     import sympy  # on first use: importing it costs more than most runs
 
@@ -282,13 +250,6 @@ def squarefree_part(c: Fraction) -> int:
     return out
 
 
-def uv_is_irreducible(p: UniPoly) -> bool:
-    if p.degree < 1:
-        return False
-    factors = uv_factorize(p)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 class NumberFieldElement:
     """Residue modulo a monic irreducible rational polynomial m(t), deg <= 6.
 
@@ -324,13 +285,6 @@ class NumberFieldElement:
         if res.degree >= len(modulus) - 1:
             res = res % UniPoly(modulus)
         self.residue = tuple(res.coeffs)
-
-    @classmethod
-    def generator(cls, modulus: UniPoly) -> "NumberFieldElement":
-        """The class of t in Q[t]/(m)."""
-        if not uv_is_irreducible(modulus):
-            raise ValueError("modulus must be irreducible over the rationals")
-        return cls(modulus.monic(), UniPoly.gen())
 
     @classmethod
     def from_rational(cls, modulus, c) -> "NumberFieldElement":

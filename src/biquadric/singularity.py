@@ -3,8 +3,8 @@
 Singular points are found through the fibre Gram pencil: every singular point
 of the surface sits over a root of the discriminant sextic, at the vertex (or
 on the vertex line) of its singular fibre conic.  Local germs are classified
-by the tangent cone, its Hessian determinant, and the dimension of the local
-algebra O/(f, grad f) computed by truncated linear algebra.
+by the rank of the tangent cone and the dimension of the local algebra
+O/(f, grad f) computed by truncated linear algebra.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .fibration import (
     matrix_kernel,
     matrix_rank,
     normalize_projective,
+    polar_rows,
     proportional,
     restrict_x,
 )
@@ -48,38 +49,7 @@ from .scalars import (
 CHART_VARS = ("x1", "y1", "y2")
 
 
-# ---------------------------------------------------------------------------
-# Points and evaluation helpers
-
 Point = Tuple[Tuple[object, object], Tuple[object, object, object]]
-
-
-def evaluate_partials(f: BiPoly, P: Point):
-    p1, p2 = P
-    values = []
-    for var in ("x0", "x1", "y0", "y1", "y2"):
-        values.append(f.partial(var).evaluate(p1, p2))
-    return values
-
-
-def is_singular_at(f: BiPoly, P: Point) -> bool:
-    p1, p2 = P
-    if not is_zero_scalar(f.evaluate(p1, p2)):
-        raise ValueError("the point is not on the surface")
-    return all(is_zero_scalar(v) for v in evaluate_partials(f, P))
-
-
-def restrict_y(f: BiPoly, p2) -> BinForm:
-    """Evaluate the y-variables at a P^2 point, leaving a binary form in x."""
-    d1 = f.bidegree[0]
-    coeffs = [Fraction(0)] * (d1 + 1)
-    for m, c in f.terms.items():
-        v = c
-        for j in range(3):
-            if m[2 + j]:
-                v = v * p2[j] ** m[2 + j]
-        coeffs[m[1]] = coeffs[m[1]] + v
-    return BinForm(d1, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +81,9 @@ def tangent_cone(f: BiPoly, P: Point) -> AffinePoly:
 
 
 def hessian_det(cone: AffinePoly):
-    """Determinant of the matrix of second partials of a quadratic form."""
-    n = len(cone.vars)
-    if n != 3:
-        raise ValueError("expected a form in three variables")
-    return det3([
-        [cone.partial(vi).partial(vj).coefficient((0, 0, 0)) for vj in cone.vars]
-        for vi in cone.vars
-    ])
-
-
-def cone_corank(cone: AffinePoly) -> int:
-    return 3 - matrix_rank(conic_gram(cone))
+    """Determinant of the matrix of second partials of a ternary quadratic
+    form: that matrix is twice the Gram matrix."""
+    return 8 * det3(conic_gram(cone))
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +106,17 @@ class _RowSpace:
     def __init__(self):
         self.pivots: Dict[Tuple[int, ...], Dict[Tuple[int, ...], object]] = {}
 
-    @staticmethod
-    def _order(e):
-        return (sum(e), e)
-
-    def _reduce(self, row: Dict[Tuple[int, ...], object]):
-        """Reduce a row by the pivots: the remainder and its lead monomial,
-        or None for the lead if the row lies in the span."""
+    def insert(self, row: Dict[Tuple[int, ...], object]) -> None:
+        """Reduce a row by the pivots; a nonzero remainder becomes the pivot
+        of its lowest monomial."""
         row = {e: c for e, c in row.items() if not is_zero_scalar(c)}
         while row:
-            lead = min(row, key=self._order)
+            lead = min(row, key=lambda e: (sum(e), e))
             pivot = self.pivots.get(lead)
             if pivot is None:
-                return row, lead
+                inv = scalar_inv(row[lead])
+                self.pivots[lead] = {e: c * inv for e, c in row.items()}
+                return
             factor = row[lead]
             for e, c in pivot.items():
                 v = row.get(e, Fraction(0)) - factor * c
@@ -165,22 +124,6 @@ class _RowSpace:
                     row.pop(e, None)
                 else:
                     row[e] = v
-        return row, None
-
-    def insert(self, row: Dict[Tuple[int, ...], object]) -> bool:
-        row, lead = self._reduce(row)
-        if lead is None:
-            return False
-        inv = scalar_inv(row[lead])
-        self.pivots[lead] = {e: c * inv for e, c in row.items()}
-        return True
-
-    def contains(self, row: Dict[Tuple[int, ...], object]) -> bool:
-        return self._reduce(row)[1] is None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def _monomials_below(nvars: int, k: int):
@@ -198,13 +141,9 @@ def _monomials_below(nvars: int, k: int):
     return [e for e in out if sum(e) < k]
 
 
-def _truncate(terms, k):
-    return {e: c for e, c in terms.items() if sum(e) < k}
-
-
 def _shifted_row(g: AffinePoly, m, k):
     """The row of m * g truncated below total degree k."""
-    return _truncate({tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms.items()}, k)
+    return {tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms.items() if sum(e) + sum(m) < k}
 
 
 def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
@@ -257,34 +196,6 @@ def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
     return AlgebraDim(False, cutoff)
 
 
-@dataclass(frozen=True)
-class QuasiHomogeneity:
-    verdict: str  # "Yes" | "No" | "Unknown"
-    level: Optional[int] = None
-
-
-def is_quasi_homogeneous(f_affine: AffinePoly, cutoff: int = 10) -> QuasiHomogeneity:
-    """Truncated membership of f in its own gradient ideal."""
-    if not f_affine.degree_part(0).is_zero() or not f_affine.degree_part(1).is_zero():
-        raise ValueError("the origin is not a singular point")
-    partials = [f_affine.partial(v) for v in f_affine.vars]
-    nvars = len(f_affine.vars)
-    for k in range(2, cutoff + 2):
-        mons = _monomials_below(nvars, k)
-        space = _RowSpace()
-        for g in partials:
-            if g.is_zero():
-                continue
-            for m in mons:
-                space.insert(_shifted_row(g, m, k))
-        if not space.contains(_truncate(dict(f_affine.terms), k)):
-            return QuasiHomogeneity("No", k)
-    alg = local_algebra_dim(f_affine, cutoff)
-    if alg.stabilized:
-        return QuasiHomogeneity("Yes")
-    return QuasiHomogeneity("Unknown", cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Local type
 
@@ -309,15 +220,16 @@ class LocalType:
 
 
 def classify_local(local: AffinePoly, cutoff: int = 10) -> LocalType:
-    cone = local.degree_part(2)
-    h = hessian_det(cone) if len(local.vars) == 3 else None
-    if h is not None and not is_zero_scalar(h):
+    """The germ's type from the rank of its tangent cone, a ternary quadratic
+    form: rank 3 is A1, and an isolated germ of rank 2 (corank 1) is A_n with
+    n the dimension of its local algebra."""
+    rank = matrix_rank(conic_gram(local.degree_part(2)))
+    if rank == 3:
         return LocalType("An", 1)
-    corank = cone_corank(cone) if len(local.vars) == 3 else None
     alg = local_algebra_dim(local, cutoff)
     if not alg.stabilized:
         return LocalType("NonIsolatedSuspected", cutoff=cutoff)
-    if corank is not None and corank <= 1:
+    if rank == 2:
         return LocalType("An", alg.value)
     return LocalType("OtherIsolated")
 
@@ -359,7 +271,6 @@ class SingularPointRecord:
     point: Point
     local_type: LocalType
     tangent_cone: AffinePoly
-    hessian_det: object
     fibre_rank: int  # rank of the fibre conic over the point's P^1 coordinate
 
 
@@ -406,8 +317,10 @@ def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
     cs = contracted_sections(f)
     if isinstance(cs, CurveOfSections):
         raise ValueError("a curve of contracted sections certifies reducibility")
+    # Along P^1 x {p2} the x-partials vanish identically and the y-partials
+    # are M(x) p2, so the section is singular iff every polar row vanishes.
     for p2 in cs.points:
-        if _section_is_singular(f, p2):
+        if matrix_rank(polar_rows(f, p2)) == 0:
             components.append(HorizontalSection(p2))
     unique_components = []
     for comp in components:
@@ -445,8 +358,7 @@ def _point_on_component(P: Point, comp: CurveComponent) -> bool:
 
 def _make_record(f: BiPoly, P: Point, cutoff: int, pencil) -> SingularPointRecord:
     local = chart_local(f, P)
-    cone = local.degree_part(2)
-    return SingularPointRecord(P, classify_local(local, cutoff), cone, hessian_det(cone),
+    return SingularPointRecord(P, classify_local(local, cutoff), local.degree_part(2),
                                matrix_rank(pencil.evaluate(P[0])))
 
 
@@ -607,14 +519,6 @@ def _section_value_anywhere(column):
         if any(not is_zero_scalar(c) for c in val):
             return normalize_projective(val)
     raise ValueError("zero section")
-
-
-def _section_is_singular(f: BiPoly, p2) -> bool:
-    """All five partials vanish identically along P^1 x {p2}."""
-    for var in ("x0", "x1", "y0", "y1", "y2"):
-        if not restrict_y(f.partial(var), p2).is_zero():
-            return False
-    return True
 
 
 def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:

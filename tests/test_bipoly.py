@@ -10,11 +10,21 @@ from biquadric.bipoly import (
     ParseError,
     act,
     all_monomials,
+    det2,
+    inv3,
     parse,
 )
 from conftest import random_poly, random_unimodular
 
 MONOS = list(all_monomials())
+
+
+def inverse(g):
+    """The frame whose action undoes the action of g."""
+    (a, b), (c, d) = g.g2
+    det = det2(g.g2)
+    return FrameChange(((d / det, -b / det), (-c / det, a / det)), inv3(g.g3))
+
 
 poly_strategy = st.builds(
     lambda coeffs: BiPoly(
@@ -80,7 +90,7 @@ class TestAct:
     @given(poly_strategy, st.integers(0, 10 ** 6))
     def test_inverse_round_trip(self, f, seed):
         g = random_unimodular(random.Random(seed))
-        assert act(g.inverse(), act(g, f)) == f
+        assert act(inverse(g), act(g, f)) == f
 
     def test_compose_convention(self):
         rng = random.Random(11)

@@ -6,6 +6,7 @@ import pytest
 
 from biquadric.bipoly import BiPoly, FrameChange, act, parse
 from biquadric.classifier import (
+    _on_some_section,
     Certificate,
     MuSign,
     StabilityClass,
@@ -16,6 +17,7 @@ from biquadric.classifier import (
 from biquadric import fibration, singularity
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.oneps import Weight, mu
+from biquadric.scalars import NumberFieldElement
 from biquadric.singularity import singular_locus
 from conftest import EXPECTED_CLASS, random_poly, random_unimodular
 
@@ -95,6 +97,22 @@ class TestVerdicts:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             classify(BiPoly((2, 2), {}))
+
+
+class TestSectionPointsAcrossFields:
+    def test_galois_conjugates_match(self):
+        sqrt2 = NumberFieldElement((-2, 0, 1), (0, 1))
+        sqrt3 = NumberFieldElement((-3, 0, 1), (0, 1))
+        one_plus_sqrt2 = NumberFieldElement((-1, -2, 1), (0, 1))
+        p = (Fraction(1), one_plus_sqrt2 - 1, Fraction(0))
+        assert _on_some_section(p, [(Fraction(1), sqrt2, Fraction(0))])
+        assert _on_some_section(p, [(Fraction(2), sqrt2 * -2, Fraction(0))])
+        assert not _on_some_section(p, [(Fraction(1), sqrt3, Fraction(0))])
+        assert not _on_some_section(p, [(Fraction(1), Fraction(1), Fraction(0))])
+        assert not _on_some_section(p, [(Fraction(0), sqrt2, Fraction(1))])
+        q = (Fraction(0), Fraction(1), Fraction(2))
+        assert _on_some_section(q, [p, (Fraction(0), Fraction(-2), Fraction(-4))])
+        assert not _on_some_section(q, [p])
 
 
 class TestCertificateSoundness:

@@ -57,6 +57,19 @@ class TestCertificatePipeline:
         doc = json.loads(out.stdout)
         assert doc["verified"] is True and doc["mu"] == 2
 
+    def test_section_point_over_another_field_verifies(self):
+        # its A2 point and the contracted section it lies on come out over
+        # two different presentations of Q(sqrt(2))
+        form = ("(x1^2 - 2*x0*x1 - x0^2)*(y1^2 - 2*y0^2) + (x1^2 + 2*x0*x1 - x0^2)*y0*y2"
+                " - (x0^2 + x1^2)*y1*y2")
+        report = run_cli("classify", "--json", form).stdout
+        doc = json.loads(report)
+        assert doc["class"] == "StrictlySemistable"
+        violated = [r["clause"] for r in doc["condition_report"] if r["violated"]]
+        assert violated == ["NonA1OnContractedSection"]
+        assert doc["certificate"]["weight"] == "-1,1;-2,0,2"
+        assert run_cli("verify-cert", "--stdin", stdin=report).returncode == 0
+
     def test_tampered_certificate_rejected(self):
         report = json.loads(run_cli("classify", "--json", FIXTURES["cone_point"]).stdout)
         report["certificate"]["weight"] = "-1,1;-1,0,1"
@@ -184,10 +197,11 @@ class TestExitCodes:
         (("singular-locus", "--cutoff=1", TWO_A3), None, 2),
         (("singular-locus", "--cutoff=0", TWO_A3), None, 2),
         (("singular-locus", "--cutoff=-3", TWO_A3), None, 2),
+        (("classify", "--trials", "-1", TWO_A3), None, 2),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
             "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
-            "cutoff-1", "cutoff-0", "cutoff-negative"])
+            "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:

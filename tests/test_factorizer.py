@@ -7,11 +7,7 @@ import sympy
 
 from biquadric.bipoly import AffinePoly, BiPoly, act, all_monomials, is_scalar_multiple, parse
 from biquadric.fibration import conic_of, split_conic
-from biquadric.factorizer import (
-    bihomogeneous_factor,
-    poly_sqrt,
-    product_of_factors,
-)
+from biquadric.factorizer import bihomogeneous_factor, poly_sqrt
 from biquadric.scalars import NumberFieldElement, UniPoly, uv_roots
 from conftest import FIXTURES, random_poly, random_unimodular
 from make_golden import CORPUS_PATH, factor_patterns
@@ -24,6 +20,51 @@ IRREDUCIBLE = parse(
 
 def bidegrees(factors):
     return sorted(bd for bd, _ in factors)
+
+
+def _factor_field(fac: BiPoly):
+    for c in fac.terms.values():
+        if isinstance(c, NumberFieldElement):
+            return c.modulus
+    return None
+
+
+def _rationalized(f: BiPoly) -> BiPoly:
+    """Demote number-field coefficients that are in fact rational."""
+    terms = {}
+    for m, c in f.terms.items():
+        if isinstance(c, NumberFieldElement) and c.is_rational():
+            c = c.as_fraction()
+        terms[m] = c
+    return BiPoly(f.bidegree, terms)
+
+
+def product_of_factors(factors) -> BiPoly:
+    """Multiply the factor list back together, the reference the factor
+    checks compare f against.
+
+    Factors over distinct quadratic fields cannot be multiplied directly (no
+    composite fields are constructed), so conjugate groups are multiplied
+    first; each group product is rational.
+    """
+    groups: dict = {}
+    for _bd, fac in factors:
+        groups.setdefault(_factor_field(fac), []).append(fac)
+    partials = []
+    for modulus, facs in groups.items():
+        acc = facs[0]
+        for fac in facs[1:]:
+            acc = acc * fac
+        acc = _rationalized(acc)
+        if modulus is not None and any(
+            isinstance(c, NumberFieldElement) for c in acc.terms.values()
+        ):
+            raise ValueError("conjugate factor group with irrational product")
+        partials.append(acc)
+    acc = partials[0]
+    for p in partials[1:]:
+        acc = acc * p
+    return acc
 
 
 class TestExamples:

@@ -9,20 +9,20 @@ from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
     CurveOfSections,
-    FibreLabel,
     FiniteSections,
     PhiSigma,
     PhiSigmaKind,
     binform_gcd,
-    classify_fibre,
     conic_coefficients,
     contracted_sections,
     discriminant,
     fibre_matrix,
+    fibre_rank,
     line_divides_conic,
     matrix_rank,
     normalize_projective,
     phi_sigma_constant,
+    polar_rows,
     ramified_along,
 )
 from biquadric.scalars import (
@@ -30,12 +30,15 @@ from biquadric.scalars import (
     UniPoly,
     is_zero_scalar,
     scalar_inv,
-    uv_squarefree_decomposition,
+    uv_gcd,
 )
-from biquadric.singularity import point_frame, singular_locus
+from biquadric.singularity import HorizontalSection, point_frame, singular_locus
 from conftest import MONOMIALS, random_poly, random_unimodular
 
 SMOOTH = parse("x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2) + x1^2*(y0^2+2*y1^2+3*y2^2+y0*y2)")
+# irreducible, singular along the contracted section through [1, 0, 0]
+SINGULAR_SECTION = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*(y1^2+2*y2^2+y1*y2)"
+                         " + x1^2*(3*y1^2+y2^2+y1*y2)")
 
 
 def poly_from_pencil(pencil):
@@ -92,8 +95,7 @@ class TestDiscriminant:
     def test_smooth_surface_squarefree_sextic(self):
         disc = discriminant(fibre_matrix(SMOOTH))
         assert disc.d == 6
-        parts = uv_squarefree_decomposition(disc.poly)
-        assert all(mult == 1 for _, mult in parts)
+        assert uv_gcd(disc.poly, disc.poly.derivative()).degree == 0
 
     def test_equivariance(self):
         rng = random.Random(14)
@@ -141,21 +143,21 @@ class TestClassifyFibre:
     def test_double_line(self):
         f = parse("x0^2*y2^2 + x0*x1*(y2^2+y0*y2+y1*y2)"
                   " + x1^2*(y0^2+y1^2+y2^2+y0*y1+y0*y2+y1*y2)")
-        assert classify_fibre(f, (1, 0)).label is FibreLabel.DOUBLE_LINE
+        assert fibre_rank(f, (1, 0)) == 1
 
     def test_two_lines(self):
         f = parse("x0^2*y1*y2 + x1^2*(y0^2+y1^2+y2^2)")
-        assert classify_fibre(f, (1, 0)).label is FibreLabel.TWO_DISTINCT_LINES
+        assert fibre_rank(f, (1, 0)) == 2
 
     def test_generic_fibre_smooth(self):
-        assert classify_fibre(SMOOTH, (1, 1)).label is FibreLabel.SMOOTH
+        assert fibre_rank(SMOOTH, (1, 1)) == 3
 
     def test_discriminant_roots_exactly_locate_singular_fibres(self):
         disc = discriminant(fibre_matrix(SMOOTH))
         roots = {tuple(map(str, root)) for root, _ in disc.roots()}
         for root, _ in disc.roots():
-            assert classify_fibre(SMOOTH, root).label is not FibreLabel.SMOOTH
-        assert classify_fibre(SMOOTH, (0, 1)).label is FibreLabel.SMOOTH or \
+            assert fibre_rank(SMOOTH, root) < 3
+        assert fibre_rank(SMOOTH, (0, 1)) == 3 or \
             tuple(map(str, (0, 1))) in roots
 
 
@@ -195,9 +197,7 @@ class TestPhiSigma:
         assert [str(c) for c in ps.line[:2]] == ["0", "0"] and str(ps.line[2]) != "0"
 
     def test_undefined_on_singular_section(self):
-        f = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*(y1^2+2*y2^2+y1*y2)"
-                  " + x1^2*(3*y1^2+y2^2+y1*y2)")
-        assert phi_sigma_constant(f, (1, 0, 0)).kind is PhiSigmaKind.UNDEFINED
+        assert phi_sigma_constant(SINGULAR_SECTION, (1, 0, 0)).kind is PhiSigmaKind.UNDEFINED
 
     def test_non_constant(self):
         f = parse("x0^2*(y1^2+y0*y2) + x0*x1*(y2^2+y0*y1)"
@@ -263,6 +263,20 @@ def moved_ramified_along(f, p1, line):
     return line_divides_conic(line, B)
 
 
+def five_partials_singular(f, p2):
+    """All five partials of f vanish identically along P^1 x {p2}: with y
+    set to p2, each is the zero binary form in x."""
+    for var in ("x0", "x1", "y0", "y1", "y2"):
+        coeffs = {}
+        for m, c in f.partial(var).terms.items():
+            for j in range(3):
+                c = c * p2[j] ** m[2 + j]
+            coeffs[m[:2]] = coeffs.get(m[:2], 0) + c
+        if not all(is_zero_scalar(c) for c in coeffs.values()):
+            return False
+    return True
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -285,8 +299,9 @@ def _section_forms(rng, count):
 
 class TestGradientsMatchFrameMoves:
     """ramified_along and phi_sigma_constant against their frame-move
-    references on every argument the condition checks pass them, and each
-    point's recorded fibre rank against classify_fibre."""
+    references on every argument the condition checks pass them, each
+    point's recorded fibre rank against fibre_rank, and the polar-row test
+    for a singular contracted section against the five partials."""
 
     def test_condition_check_arguments(self, fixtures, monkeypatch):
         visits = {"ramified": [], "phi": []}
@@ -308,21 +323,28 @@ class TestGradientsMatchFrameMoves:
                             compared(phi_sigma_constant, moved_phi_sigma, "phi"))
         rng = random.Random(23)
         forms = [act(random_unimodular(rng), f) for f in fixtures.values() for _ in range(3)]
-        forms += _section_forms(rng, 40)
+        forms += _section_forms(rng, 40) + [SINGULAR_SECTION]
         points = 0
+        sections = []
         for f in forms:
             if len(bihomogeneous_factor(f)) >= 2:
                 continue
             locus = singular_locus(f)
             for rec in locus.isolated_points:
-                assert rec.fibre_rank == classify_fibre(f, rec.point[0]).rank
+                assert rec.fibre_rank == fibre_rank(f, rec.point[0])
                 points += 1
+            for p2 in locus.section_points:
+                singular = matrix_rank(polar_rows(f, p2)) == 0
+                assert singular == five_partials_singular(f, p2), p2
+                assert singular == (HorizontalSection(p2) in locus.curve_components), p2
+                sections.append(singular)
             classifier.check_semistability_conditions(f, locus)
             try:
                 classifier.check_stability_conditions(f, locus)
             except ValueError:
                 pass  # a singular contracted section
         assert points >= 20
+        assert True in sections and False in sections
         assert True in visits["ramified"] and False in visits["ramified"]
         kinds = {ps.kind for ps in visits["phi"] if ps is not ValueError}
         assert kinds == set(PhiSigmaKind)

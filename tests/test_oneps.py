@@ -12,7 +12,6 @@ from biquadric.oneps import (
     m_plus,
     monomial_weight,
     mu,
-    recenter,
 )
 from conftest import random_poly
 
@@ -41,35 +40,6 @@ class TestWeight:
         for text in STRICT_WEIGHTS + ZERO_WEIGHTS:
             w = W(text)
             assert w.r[0] + w.s[0] < 0
-
-
-class TestRecenter:
-    def test_mean_subtraction(self):
-        assert recenter((0, 2), (0, 0, 3)) == Weight((-1, 1), (-1, -1, 2))
-
-    def test_centered_unchanged(self):
-        assert recenter((-1, 1), (-4, 2, 2)) == W("-1,1;-4,2,2")
-
-    def test_fractional_means_cleared(self):
-        w = recenter((0, 1), (0, 0, 1))
-        assert w.r[0] + w.r[1] == 0 and sum(w.s) == 0
-
-    def test_argmin_preserved(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            raw_r = (rng.randint(-5, 5), rng.randint(-5, 5))
-            raw_s = tuple(rng.randint(-5, 5) for _ in range(3))
-            w = recenter(raw_r, raw_s)
-            f = random_poly(rng, keep=0.5)
-
-            def raw_weight(m):
-                return sum(r * a for r, a in zip(raw_r + raw_s, m))
-
-            raw_min = min(raw_weight(m) for m in f.terms)
-            raw_argmin = {m for m in f.terms if raw_weight(m) == raw_min}
-            new_min = min(monomial_weight(m, w) for m in f.terms)
-            new_argmin = {m for m in f.terms if monomial_weight(m, w) == new_min}
-            assert raw_argmin == new_argmin
 
 
 class TestMonomialWeight:

@@ -43,3 +43,31 @@ def test_only_scalars_imports_sympy():
             if any(n.split(".")[0] == "sympy" for n in names):
                 importers.add(path.name)
     assert importers == {"scalars.py"}
+
+
+def test_every_src_definition_has_a_caller():
+    # A module-level function or class that nothing in src/ refers to outside
+    # its own body is test-only API; the acceptance suite's imports are the
+    # one named exception.
+    exempt = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("biquadric"):
+            exempt.update(alias.name for alias in node.names)
+    definitions, references = [], []
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        definitions += [(path.name, node) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((path.name, node.attr, node.lineno))
+    unused = [
+        f"{module}:{node.name}" for module, node in definitions
+        if node.name not in exempt and not any(
+            name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, name, line in references
+        )
+    ]
+    assert unused == []
