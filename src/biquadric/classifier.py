@@ -33,6 +33,7 @@ from .fibration import (
     conic_coefficients,
     conic_gram,
     conic_of,
+    conjugate,
     line_divides_conic,
     line_span,
     matrix_rank,
@@ -45,7 +46,7 @@ from .fibration import (
     split_conic,
 )
 from .oneps import Weight, mu
-from .scalars import NumberFieldElement, UniPoly, format_scalar, is_zero_scalar, uv_gcd
+from .scalars import format_scalar, is_zero_scalar
 from .singularity import (
     FibreLine,
     HorizontalSection,
@@ -200,27 +201,7 @@ def _on_some_section(p2, section_points) -> bool:
     """True iff p2 is a Galois conjugate of one of the section points.  The
     singular locus keeps one point of each Galois orbit, over the field of
     its own coordinates, so one point may be written over two fields."""
-    return any(_conjugate(p2, q) for q in section_points)
-
-
-def _conjugate(p, q) -> bool:
-    """True iff the projective points p and q are Galois conjugate.
-
-    Normalized, the conjugates of a point p over Q[t]/(m) are p(T) at the
-    roots T of m; so q is one of them iff m(T) and every p_i(T) - q_i have
-    a common root, that is a nonconstant gcd over the field of q.
-    """
-    p, q = normalize_projective(p), normalize_projective(q)
-    modulus = next((c.modulus for c in p if isinstance(c, NumberFieldElement)), None)
-    if modulus is None:
-        if any(isinstance(c, NumberFieldElement) for c in q):
-            return _conjugate(q, p)
-        return p == q
-    g = UniPoly(modulus)
-    for pi, qi in zip(p, q):
-        residue = pi.residue if isinstance(pi, NumberFieldElement) else (pi,)
-        g = uv_gcd(g, UniPoly(residue) - qi)
-    return g.degree >= 1
+    return any(conjugate(p2, q) for q in section_points)
 
 
 def _verified(cert: Certificate, f: BiPoly) -> Certificate:
@@ -299,12 +280,9 @@ def check_semistability_conditions(
         # The only candidate component is the constant tangent line itself
         # (it passes through p2 by construction), so instead of splitting the
         # fibre conic we test whether that line divides it.
-        try:
-            if not line_divides_conic(ps.line, restrict_x(f, p1)):
-                continue
-            violated = ramified_along(f, p1, ps.line)
-        except ValueError:
+        if not line_divides_conic(ps.line, restrict_x(f, p1)):
             continue
+        violated = ramified_along(f, p1, ps.line)
         note(_fmt_point(rec.point), "RamifiedComponentWithContractedSection",
              violated, W_RAMIFIED_COMPONENT if violated else None)
         if violated and cert is None:

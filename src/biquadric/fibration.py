@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bipoly import AffinePoly, BiPoly, Y_VARS, det3, inv3, is_scalar_multiple
 from .scalars import (
+    NumberFieldElement,
     UniPoly,
     is_zero_scalar,
     promote_pair,
@@ -217,6 +218,26 @@ def normalize_projective(coords):
     raise ValueError("zero coordinate vector")
 
 
+def conjugate(p, q) -> bool:
+    """True iff the projective points p and q are Galois conjugate.
+
+    Normalized, the conjugates of a point p over Q[t]/(m) are p(T) at the
+    roots T of m; so q is one of them iff m(T) and every p_i(T) - q_i have
+    a common root, that is a nonconstant gcd over the field of q.
+    """
+    p, q = normalize_projective(p), normalize_projective(q)
+    modulus = next((c.modulus for c in p if isinstance(c, NumberFieldElement)), None)
+    if modulus is None:
+        if any(isinstance(c, NumberFieldElement) for c in q):
+            return conjugate(q, p)
+        return p == q
+    g = UniPoly(modulus)
+    for pi, qi in zip(p, q):
+        residue = pi.residue if isinstance(pi, NumberFieldElement) else (pi,)
+        g = uv_gcd(g, UniPoly(residue) - qi)
+    return g.degree >= 1
+
+
 def proportional(u, v) -> bool:
     """True iff the coordinate vectors u and v are proportional."""
     n = len(u)
@@ -378,32 +399,14 @@ def line_span(line):
 # Contracted sections
 
 
-@dataclass(frozen=True)
-class CurveOfSections:
-    """A whole curve of contracted sections: its defining form in y (degree 1
-    or 2); certifies that f is reducible."""
+def contracted_sections(f: BiPoly) -> Tuple[Tuple[object, object, object], ...]:
+    """All P2 in P^2 with f(., ., P2) identically zero: the common zeros of
+    the conics A, B, C.
 
-    defining_form: AffinePoly
-
-
-@dataclass(frozen=True)
-class FiniteSections:
-    points: Tuple[Tuple[object, object, object], ...]
-
-
-def contracted_sections(f: BiPoly) -> Union[FiniteSections, CurveOfSections]:
-    """All P2 in P^2 with f(., ., P2) identically zero.
-
-    These are the common zeros of the conics A, B, C; a shared component is
-    reported as a curve.
+    f must be irreducible, so that A, B and C share no component (a shared
+    component would divide f) and their common zeros are finitely many.
     """
-    conics = [q for q in conic_coefficients(f) if not q.is_zero()]
-    if not conics:
-        raise ValueError("zero polynomial")
-    component = common_component(conics)
-    if component is not None:
-        return CurveOfSections(component)
-    return FiniteSections(tuple(_common_conic_points(conics)))
+    return tuple(_common_conic_points([q for q in conic_coefficients(f) if not q.is_zero()]))
 
 
 def common_component(conics) -> Optional[AffinePoly]:

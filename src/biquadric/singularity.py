@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from .bipoly import (
@@ -25,26 +26,21 @@ from .bipoly import (
 from .factorizer import bihomogeneous_factor
 from .fibration import (
     BinForm,
+    bilinear,
     binform_gcd,
+    conic_coefficients,
     conic_gram,
+    conjugate,
     contracted_sections,
-    CurveOfSections,
     discriminant,
     fibre_matrix,
     matrix_kernel,
     matrix_rank,
     normalize_projective,
     polar_rows,
-    proportional,
     restrict_x,
 )
-from .scalars import (
-    UniPoly,
-    is_zero_scalar,
-    scalar_inv,
-    uv_gcd,
-    uv_roots,
-)
+from .scalars import is_zero_scalar, scalar_inv
 
 CHART_VARS = ("x1", "y1", "y2")
 
@@ -304,56 +300,65 @@ def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
     fx1 = f.partial("x1")
     points: List[Point] = []
     components: List[CurveComponent] = []
-    if not disc.is_zero():
-        for (p1pt, _mult) in disc.roots():
-            pts, comps = _fibre_singularities(f, pencil, fx0, fx1, p1pt)
-            points.extend(pts)
-            components.extend(comps)
+    if disc.is_zero():
+        components.append(_vertex_curve(f))
+        fibres = _rank_one_fibres(pencil)
     else:
-        pts, comps = _degenerate_pencil_locus(f, pencil, fx0, fx1)
+        fibres = [p1pt for p1pt, _mult in disc.roots()]
+    for p1pt in fibres:
+        pts, comps = _fibre_singularities(f, pencil, fx0, fx1, p1pt)
         points.extend(pts)
         components.extend(comps)
-    # whole contracted sections inside the singular locus
-    cs = contracted_sections(f)
-    if isinstance(cs, CurveOfSections):
-        raise ValueError("a curve of contracted sections certifies reducibility")
-    # Along P^1 x {p2} the x-partials vanish identically and the y-partials
-    # are M(x) p2, so the section is singular iff every polar row vanishes.
-    for p2 in cs.points:
+    # whole contracted sections inside the singular locus.  Along P^1 x {p2}
+    # the x-partials vanish identically and the y-partials are M(x) p2, so
+    # the section is singular iff every polar row vanishes.
+    section_points = contracted_sections(f)
+    for p2 in section_points:
         if matrix_rank(polar_rows(f, p2)) == 0:
             components.append(HorizontalSection(p2))
     unique_components = []
     for comp in components:
         if comp not in unique_components:
             unique_components.append(comp)
+    # Of the curves of an irreducible locus only a horizontal section can
+    # hold a listed point: a fibre line's fibre lists no points.  The section
+    # stands for its whole Galois orbit, so a conjugate point lies on it too.
+    sections = [c.p2 for c in unique_components if isinstance(c, HorizontalSection)]
     unique_points = []
     for P in points:
         P = (normalize_projective(P[0]), normalize_projective(P[1]))
-        if P in unique_points:
-            continue
-        if any(_point_on_component(P, comp) for comp in unique_components):
+        if P in unique_points or any(conjugate(P[1], p2) for p2 in sections):
             continue
         unique_points.append(P)
     records = tuple(_make_record(f, P, cutoff, pencil) for P in unique_points)
-    return SingularLocus(records, tuple(unique_components), cs.points)
+    return SingularLocus(records, tuple(unique_components), section_points)
 
 
-def _point_on_component(P: Point, comp: CurveComponent) -> bool:
-    p1, p2 = P
-    try:
-        if isinstance(comp, HorizontalSection):
-            return proportional(p2, comp.p2)
-        if isinstance(comp, FibreLine):
-            if not proportional(p1, comp.p1):
-                return False
-            dot = sum((comp.line[i] * p2[i] for i in range(3)), Fraction(0))
-            return is_zero_scalar(dot)
-        if isinstance(comp, FibreConic):
-            return proportional(p1, comp.p1)
-    except ValueError:
-        # coordinates over unrelated number fields never coincide here
-        return False
-    return False
+def _vertex_curve(f: BiPoly) -> CurveComponent:
+    """The curve of singular points of an identically singular pencil.
+
+    For irreducible f the generic fibre has rank 2, so its vertex is a point
+    c(x) of P^2 over K = Q(x1/x0), and every x-derivative of f vanishes
+    there: f(x, c(x)) = 0 and grad_y f(x, c(x)) = M(x) c(x) = 0, so by the
+    chain rule d/dx_i f(x, c(x)) = f_xi(x, c(x)) = 0.  (Over K the fibre is
+    a u^2 + b v^2 with vertex u = v = 0; see Beauville, Varietes de Prym et
+    jacobiennes intermediaires, Ann. ENS 1977, section 1.)  The vertices
+    thus sweep a curve of singular points.  It is the horizontal section
+    through p2 when A, B and C share the singular point p2, the kernel of
+    their stacked Gram matrices (at most a point for irreducible f), and
+    otherwise the image of the moving vertex x -> ker M(x).
+    """
+    kernel = matrix_kernel([row for q in conic_coefficients(f) for row in conic_gram(q)])
+    if kernel:
+        return HorizontalSection(normalize_projective(kernel[0]))
+    return PlaneCurveImage("image of the fibre-vertex section x -> ker M(x)")
+
+
+def _rank_one_fibres(pencil) -> List[Tuple[object, object]]:
+    """The fibres of rank at most one of an identically singular pencil: the
+    roots of the gcd of the adjugate's entries, which vanish exactly there."""
+    g = reduce(binform_gcd, (b for row in adjugate3(pencil.entries) for b in row))
+    return [p1pt for p1pt, _mult in g.roots()] if g.d >= 1 else []
 
 
 def _make_record(f: BiPoly, P: Point, cutoff: int, pencil) -> SingularPointRecord:
@@ -384,141 +389,26 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
                 line = normalize_projective(row)
                 break
         v1, v2 = matrix_kernel(m)
-        q0 = _restricted_to_line(restrict_x(fx0, p1pt), v1, v2)
-        q1 = _restricted_to_line(restrict_x(fx1, p1pt), v1, v2)
+        q0, q1 = (_restricted_to_line(restrict_x(g, p1pt), v1, v2) for g in (fx0, fx1))
         if q0.is_zero() and q1.is_zero():
             components.append(FibreLine(p1pt, line))
             return points, components
-        g = uv_gcd(q0, q1) if (not q0.is_zero() and not q1.is_zero()) else (q1 if q0.is_zero() else q0)
-        for t, _mult in uv_roots(g):
-            y = tuple(a + t * b for a, b in zip(v1, v2))
-            points.append((p1pt, y))
-        # parameter at infinity corresponds to v2 itself
-        if _binary_quadratic_vanishes_at_infinity(q0, q1):
+        g = binform_gcd(q0, q1)
+        for (s, t), _mult in g.roots():
+            if not is_zero_scalar(s):
+                points.append((p1pt, tuple(a + t * b for a, b in zip(v1, v2))))
+        # the root [0, 1] of the line's parameter is v2 itself
+        if g.d > g.poly.degree:
             points.append((p1pt, tuple(v2)))
         return points, components
     raise ValueError("identically zero fibre: the polynomial is reducible")
 
 
-def _restricted_to_line(conic: AffinePoly, v1, v2) -> UniPoly:
-    """Restrict a conic in y to the line {v1 + t v2}: a quadratic in t."""
-    point = lambda t: [a + t * b for a, b in zip(v1, v2)]
-    c0 = conic.evaluate(point(Fraction(0)))
-    c_at_1 = conic.evaluate(point(Fraction(1)))
-    c_at_m1 = conic.evaluate(point(Fraction(-1)))
-    a = (c_at_1 + c_at_m1 - 2 * c0) * Fraction(1, 2)
-    b = (c_at_1 - c_at_m1) * Fraction(1, 2)
-    return UniPoly([c0, b, a])
-
-
-def _binary_quadratic_vanishes_at_infinity(q0: UniPoly, q1: UniPoly) -> bool:
-    def lead2(q):
-        return q.coeffs[2] if len(q.coeffs) > 2 else Fraction(0)
-
-    return is_zero_scalar(lead2(q0)) and is_zero_scalar(lead2(q1))
-
-
-def _degenerate_pencil_locus(f, pencil, fx0, fx1):
-    """Identically singular pencil (the discriminant vanishes): the kernel of
-    M(x) varies as a section x -> c(x), given by an adjugate column."""
-    points: List[Point] = []
-    components: List[CurveComponent] = []
-    adj = adjugate3(pencil.entries)
-    column = None
-    for j in range(3):
-        col = tuple(adj[i][j] for i in range(3))
-        if any(not b.is_zero() for b in col):
-            column = col
-            break
-    if column is None:
-        raise ValueError("fibre rank at most one everywhere: the polynomial is reducible")
-    column = _remove_binform_content(column)
-    g0 = _substitute_section(fx0, column)
-    g1 = _substitute_section(fx1, column)
-    if g0.is_zero() and g1.is_zero():
-        if _section_constant(column):
-            p2 = _section_value_anywhere(column)
-            components.append(HorizontalSection(p2))
-        else:
-            components.append(
-                PlaneCurveImage("image of the fibre-vertex section x -> ker M(x)")
-            )
-    else:
-        g = binform_gcd(g0, g1)
-        if g.d >= 1:
-            for (p1pt, _mult) in g.roots():
-                y = tuple(b.evaluate(p1pt) for b in column)
-                if any(not is_zero_scalar(c) for c in y):
-                    points.append((p1pt, y))
-                else:
-                    pts, comps = _fibre_singularities(f, pencil, fx0, fx1, p1pt)
-                    points.extend(pts)
-                    components.extend(comps)
-    # rank-one fibres are not covered by the adjugate section
-    entry_gcd = None
-    for row in adj:
-        for b in row:
-            if not b.is_zero():
-                entry_gcd = b if entry_gcd is None else binform_gcd(entry_gcd, b)
-    if entry_gcd is not None and entry_gcd.d >= 1:
-        for (p1pt, _mult) in entry_gcd.roots():
-            pts, comps = _fibre_singularities(f, pencil, fx0, fx1, p1pt)
-            points.extend(pts)
-            components.extend(comps)
-    return points, components
-
-
-def _remove_binform_content(column):
-    g = None
-    for b in column:
-        if not b.is_zero():
-            g = b if g is None else binform_gcd(g, b)
-    if g is None or g.d == 0:
-        return column
-    return tuple(_binform_divide(b, g) for b in column)
-
-
-def _binform_divide(a: BinForm, g: BinForm) -> BinForm:
-    if a.is_zero():
-        return BinForm(a.d - g.d)
-    q, r = a.poly.divmod(g.poly)
-    if not r.is_zero():
-        raise ValueError("binary form division is not exact")
-    if a.d - a.poly.degree < g.d - g.poly.degree:
-        raise ValueError("binary form division is not exact at infinity")
-    return BinForm(a.d - g.d, q)
-
-
-def _substitute_section(fx: BiPoly, column) -> BinForm:
-    """Substitute y -> column(x) into a bidegree-(1,2) form."""
-    deg = fx.bidegree[0] + 2 * column[0].d
-    acc = BinForm(deg)
-    for m, c in fx.terms.items():
-        term = BinForm(fx.bidegree[0], [0] * m[1] + [c] + [0] * (fx.bidegree[0] - m[1]))
-        for j in range(3):
-            for _ in range(m[2 + j]):
-                term = term * column[j]
-        acc = acc + term
-    return acc
-
-
-def _section_constant(column) -> bool:
-    """True iff the section x -> [c0(x) : c1(x) : c2(x)] is a constant point."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            # projective constancy: all 2x2 Wronskian-type minors vanish
-            ci, cj = column[i].poly, column[j].poly
-            if not (ci * cj.derivative() - cj * ci.derivative()).is_zero():
-                return False
-    return True
-
-
-def _section_value_anywhere(column):
-    for candidate in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))):
-        val = tuple(b.evaluate(candidate) for b in column)
-        if any(not is_zero_scalar(c) for c in val):
-            return normalize_projective(val)
-    raise ValueError("zero section")
+def _restricted_to_line(conic: AffinePoly, v1, v2) -> BinForm:
+    """Restrict a conic in y to the line {s v1 + t v2}: a binary quadratic
+    in (s, t)."""
+    g = conic_gram(conic)
+    return BinForm(2, [bilinear(g, v1, v1), 2 * bilinear(g, v1, v2), bilinear(g, v2, v2)])
 
 
 def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:
@@ -528,7 +418,7 @@ def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:
     for bd, fac in factors:
         matched = False
         for entry in counted:
-            if entry[1] == fac or _same_factor(entry[1], fac):
+            if is_scalar_multiple(entry[1], fac):
                 entry[2] += 1
                 matched = True
                 break
@@ -545,13 +435,6 @@ def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:
             if comp is not None:
                 components.append(comp)
     return SingularLocus((), tuple(components))
-
-
-def _same_factor(a: BiPoly, b: BiPoly) -> bool:
-    try:
-        return is_scalar_multiple(a, b)
-    except ValueError:
-        return False
 
 
 def _pair_intersection(e1, e2) -> Optional[CurveComponent]:

@@ -141,6 +141,17 @@ class TestOtherSubcommands:
         assert doc["smooth"] is False
         assert any(c["kind"] == "HorizontalSection" for c in doc["curves"])
 
+    def test_moving_vertex_curve(self):
+        # det M(x) vanishes identically and the fibre vertex moves with x, so
+        # the vertices sweep a curve of singular points
+        out = run_cli("singular-locus", "--json", "--cutoff", "3",
+                      "(x0*y0 + x1*y1)^2 - x0*x1*y2^2")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["curves"] == [{
+            "kind": "PlaneCurveImage",
+            "description": "image of the fibre-vertex section x -> ker M(x)",
+        }]
+
     def test_lowest_cutoff_accepted(self):
         out = run_cli("singular-locus", "--cutoff=2", TWO_A3)
         assert out.returncode == 0

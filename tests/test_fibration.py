@@ -8,8 +8,6 @@ from biquadric.bipoly import BiPoly, FrameChange, act, inv3, parse
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
-    CurveOfSections,
-    FiniteSections,
     PhiSigma,
     PhiSigmaKind,
     binform_gcd,
@@ -165,18 +163,10 @@ class TestContractedSections:
     def test_single_point(self):
         f = parse("x0^2*(y1^2+y0*y2+y2^2+y1*y2) + x0*x1*(y1^2+y0*y2)"
                   " + x1^2*(y1^2+y0*y2+y1*y2)")
-        out = contracted_sections(f)
-        assert isinstance(out, FiniteSections)
-        assert [tuple(map(str, p)) for p in out.points] == [("1", "0", "0")]
-
-    def test_curve_of_sections(self):
-        out = contracted_sections(parse("x0*x1*(y0*y2+y1^2)"))
-        assert isinstance(out, CurveOfSections)
-        assert set(out.defining_form.terms) == {(1, 0, 1), (0, 2, 0)}
+        assert [tuple(map(str, p)) for p in contracted_sections(f)] == [("1", "0", "0")]
 
     def test_smooth_surface_has_none(self):
-        out = contracted_sections(SMOOTH)
-        assert isinstance(out, FiniteSections) and out.points == ()
+        assert contracted_sections(SMOOTH) == ()
 
 
 class TestConicCoefficients:

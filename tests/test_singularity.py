@@ -1,13 +1,31 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from biquadric.bipoly import AffinePoly, parse
+from biquadric import singularity
+from biquadric.bipoly import AffinePoly, act, adjugate3, parse
+from biquadric.factorizer import bihomogeneous_factor
+from biquadric.fibration import (
+    BinForm,
+    binform_gcd,
+    contracted_sections,
+    discriminant,
+    fibre_matrix,
+    matrix_rank,
+    normalize_projective,
+    polar_rows,
+    proportional,
+)
+from biquadric.scalars import is_zero_scalar
 from biquadric.singularity import (
     CHART_VARS,
     FibreConic,
+    FibreLine,
     HorizontalSection,
+    PlaneCurveImage,
+    SingularLocus,
     chart_local,
     classify_local,
     classify_singularity,
@@ -16,7 +34,7 @@ from biquadric.singularity import (
     singular_locus,
     tangent_cone,
 )
-from conftest import random_poly
+from conftest import random_poly, random_unimodular
 
 ORIGIN = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
 
@@ -86,6 +104,150 @@ class TestSingularLocus:
         locus = singular_locus(f)
         assert not locus.is_smooth
         assert all(isinstance(c, FibreConic) for c in locus.curve_components)
+
+
+# ---------------------------------------------------------------------------
+# Identically singular pencils: the adjugate-section route as the reference
+
+
+def _divide(a: BinForm, g: BinForm) -> BinForm:
+    q, r = a.poly.divmod(g.poly)
+    assert r.is_zero() and a.d - a.poly.degree >= g.d - g.poly.degree
+    return BinForm(a.d - g.d, q)
+
+
+def _vertex_section(pencil):
+    """The fibre vertex x -> ker M(x): an adjugate column, content removed."""
+    column = next(col for col in zip(*adjugate3(pencil.entries)) if any(col))
+    content = reduce(binform_gcd, [b for b in column if b])
+    return tuple(_divide(b, content) if b else BinForm(b.d - content.d) for b in column)
+
+
+def _substitute_section(fx, column) -> BinForm:
+    """Substitute y -> column(x) into a form of bidegree (1, 2)."""
+    acc = BinForm(fx.bidegree[0] + 2 * column[0].d)
+    for m, c in fx.terms.items():
+        term = BinForm(fx.bidegree[0], [0] * m[1] + [c] + [0] * (fx.bidegree[0] - m[1]))
+        for j in range(3):
+            for _ in range(m[2 + j]):
+                term = term * column[j]
+        acc = acc + term
+    return acc
+
+
+def _section_constant(column) -> bool:
+    """True iff every 2x2 Wronskian minor of the section vanishes."""
+    return all(
+        (column[i].poly * column[j].poly.derivative()
+         - column[j].poly * column[i].poly.derivative()).is_zero()
+        for i in range(3) for j in range(i + 1, 3)
+    )
+
+
+def _section_value_anywhere(column):
+    for x in ((1, 0), (0, 1), (1, 1), (1, 2)):
+        value = tuple(b.evaluate((Fraction(x[0]), Fraction(x[1]))) for b in column)
+        if any(not is_zero_scalar(c) for c in value):
+            return normalize_projective(value)
+    raise AssertionError("zero section")
+
+
+def _on_component(P, comp) -> bool:
+    p1, p2 = P
+    try:
+        if isinstance(comp, HorizontalSection):
+            return proportional(p2, comp.p2)
+        if isinstance(comp, FibreLine):
+            return proportional(p1, comp.p1) and is_zero_scalar(
+                sum((comp.line[i] * p2[i] for i in range(3)), Fraction(0)))
+    except ValueError:  # coordinates over unrelated number fields
+        return False
+    return False
+
+
+def adjugate_section_locus(f, cutoff):
+    """The singular locus of an irreducible f with det M(x) = 0, found by
+    substituting the vertex section into f_x0 and f_x1: a curve of singular
+    points where both vanish identically.  Also returns the two substituted
+    partials."""
+    pencil = fibre_matrix(f)
+    column = _vertex_section(pencil)
+    fx0, fx1 = f.partial("x0"), f.partial("x1")
+    partials = (_substitute_section(fx0, column), _substitute_section(fx1, column))
+    if _section_constant(column):
+        components = [HorizontalSection(_section_value_anywhere(column))]
+    else:
+        components = [PlaneCurveImage("image of the fibre-vertex section x -> ker M(x)")]
+    points = []
+    entries = [b for row in adjugate3(pencil.entries) for b in row if b]
+    entry_gcd = reduce(binform_gcd, entries)
+    for p1pt, _mult in (entry_gcd.roots() if entry_gcd.d >= 1 else []):
+        pts, comps = singularity._fibre_singularities(f, pencil, fx0, fx1, p1pt)
+        points += pts
+        components += comps
+    sections = contracted_sections(f)
+    components += [HorizontalSection(p2) for p2 in sections
+                   if matrix_rank(polar_rows(f, p2)) == 0]
+    unique_components = []
+    for comp in components:
+        if comp not in unique_components:
+            unique_components.append(comp)
+    unique_points = []
+    for P in points:
+        P = (normalize_projective(P[0]), normalize_projective(P[1]))
+        if P not in unique_points and not any(_on_component(P, c) for c in unique_components):
+            unique_points.append(P)
+    records = tuple(singularity._make_record(f, P, cutoff, pencil) for P in unique_points)
+    return SingularLocus(records, tuple(unique_components), sections), partials
+
+
+def _fixed_vertex_form(rng):
+    """Conics in y0, y1 only: every fibre is singular at [0, 0, 1]."""
+    return parse(" + ".join(
+        f"({rng.randint(-3, 3)})*{x}*{y}"
+        for x in ("x0^2", "x0*x1", "x1^2") for y in ("y0^2", "y0*y1", "y1^2")))
+
+
+def _moving_vertex_form(rng):
+    """a P^2 + b(x) P R + c(x) R^2 with P of bidegree (1, 1) and R a y-line."""
+    def form(monomials):
+        return " + ".join(f"({rng.randint(-2, 2)})*{m}" for m in monomials)
+
+    P = form([f"{x}*{y}" for x in ("x0", "x1") for y in ("y0", "y1", "y2")])
+    R = form(["y0", "y1", "y2"])
+    b = form(["x0", "x1"])
+    c = form(["x0^2", "x0*x1", "x1^2"])
+    return parse(f"{rng.choice((-2, -1, 1, 2))}*({P})^2 + ({b})*({P})*({R}) + ({c})*({R})^2")
+
+
+class TestIdenticallySingularPencil:
+    """det M(x) = 0: the vertex curve by the kernel of A, B and C agrees with
+    the adjugate-section route, on forms in two families and under frames."""
+
+    @pytest.mark.parametrize("family, expected", [
+        (_fixed_vertex_form, HorizontalSection),
+        (_moving_vertex_form, PlaneCurveImage),
+    ])
+    def test_matches_adjugate_section_route(self, family, expected):
+        rng = random.Random(f"degenerate/{family.__name__}")
+        seen = set()
+        forms = 0
+        while forms < 6:
+            f = family(rng)
+            if f.is_zero() or len(bihomogeneous_factor(f)) != 1:
+                continue
+            forms += 1
+            for g in (f, act(random_unimodular(rng), f), act(random_unimodular(rng), f)):
+                assert discriminant(fibre_matrix(g)).is_zero()
+                locus = singular_locus(g, cutoff=3)
+                reference, partials = adjugate_section_locus(g, cutoff=3)
+                # the lemma: every x-derivative vanishes along the vertex section
+                assert all(p.is_zero() for p in partials)
+                assert locus.curve_components == reference.curve_components
+                assert [(r.point, r.local_type) for r in locus.isolated_points] == \
+                    [(r.point, r.local_type) for r in reference.isolated_points]
+                seen.update(type(c) for c in locus.curve_components)
+        assert expected in seen
 
 
 class TestTangentConeAndHessian:

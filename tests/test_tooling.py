@@ -71,3 +71,20 @@ def test_every_src_definition_has_a_caller():
         )
     ]
     assert unused == []
+
+
+def test_every_src_import_is_used():
+    # A name a module imports at its top level and never refers to is dead
+    # weight that hides which modules really depend on which.
+    unused = []
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+    assert unused == []
