@@ -399,18 +399,27 @@ class _Parser:
             else:
                 return acc
 
+    def _check_degree(self, degree: int):
+        """Refuse a product of non-constant factors above degree 4 before
+        expanding it: every term of a (2,2)-form has degree 4."""
+        if degree > 4:
+            raise ParseError(f"product of total degree {degree} ending at position "
+                             f"{self.pos}; a (2,2)-form has degree 4")
+
     def parse_product(self) -> AffinePoly:
         acc = self.parse_power()
         while True:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
-                acc = acc * self.parse_power()
-            elif ch == "(" or ch.isalpha():
-                # implicit multiplication, e.g. "2x0" or "x0(y1+y2)"
-                acc = acc * self.parse_power()
-            else:
+            elif ch != "(" and not ch.isalpha():
                 return acc
+            # "a*b", or implicit multiplication as in "2x0" or "x0(y1+y2)"
+            factor = self.parse_power()
+            degrees = (acc.total_degree(), factor.total_degree())
+            if min(degrees) > 0:
+                self._check_degree(sum(degrees))
+            acc = acc * factor
 
     def parse_power(self) -> AffinePoly:
         base = self.parse_atom()
@@ -422,7 +431,10 @@ class _Parser:
                 self.pos += 1
             if start == self.pos:
                 raise ParseError(f"expected exponent at position {self.pos}")
-            return base ** int(self.text[start : self.pos])
+            n = int(self.text[start : self.pos])
+            if base.total_degree() > 0:
+                self._check_degree(base.total_degree() * n)
+            return base ** n
         return base
 
     def parse_atom(self) -> AffinePoly:

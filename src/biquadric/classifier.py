@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .bipoly import (
     BiPoly,
@@ -58,23 +58,36 @@ from .singularity import (
 )
 from .weightlp import find_destabilizing_weight
 
-# Witness weights attached to each violated condition.  Each one is the
-# normalized weight that annihilates (or freezes) the corresponding normal
-# form, so certificates built from them verify by construction.
-W_CONE_PULLBACK = Weight((-4, 4), (-10, 5, 5))
-W_RAMIFIED_DOUBLE_FIBRE = Weight((-3, 3), (-2, -2, 4))
-W_RAMIFIED_COMPONENT = Weight((-2, 2), (-5, -1, 6))
-W_SINGULAR_SECTION = Weight((-1, 1), (-4, 2, 2))
-W_CONSTANT_TANGENT = Weight((0, 0), (-1, 0, 1))
-W_NON_A1_ON_SECTION = Weight((-1, 1), (-2, 0, 2))
-W_NON_A1_DOUBLE_FIBRE = Weight((-1, 1), (-1, 0, 1))
-W_PLANE_FACTOR = Weight((-1, 1), (-3, -1, 4))
-W_SPLIT_SURFACE = Weight((-2, 2), (-1, 0, 1))
-
 
 class MuSign(Enum):
     POSITIVE = "Positive"
     ZERO = "Zero"
+
+
+# Each clause's witness: the normalized weight that annihilates (or freezes)
+# the clause's normal form, and the sign of its Hilbert-Mumford value there.
+# A Positive witness proves instability, a Zero one non-stability.  The order
+# is the order in which the checks below test the clauses.
+CLAUSES = {
+    # semi-stability of an irreducible surface
+    "ConePullback": (Weight((-4, 4), (-10, 5, 5)), MuSign.POSITIVE),
+    "RamifiedDoubleFibre": (Weight((-3, 3), (-2, -2, 4)), MuSign.POSITIVE),
+    "RamifiedComponentWithContractedSection":
+        (Weight((-2, 2), (-5, -1, 6)), MuSign.POSITIVE),
+    "SingularSection": (Weight((-1, 1), (-4, 2, 2)), MuSign.POSITIVE),
+    # stability of an irreducible semi-stable surface
+    "ConstantTangentMap": (Weight((0, 0), (-1, 0, 1)), MuSign.ZERO),
+    "NonA1OnContractedSection": (Weight((-1, 1), (-2, 0, 2)), MuSign.ZERO),
+    "NonA1NonReducedFibre": (Weight((-1, 1), (-1, 0, 1)), MuSign.ZERO),
+    # reducible surfaces, one clause per case
+    "PlaneFactor": (Weight((-1, 1), (-3, -1, 4)), MuSign.POSITIVE),
+    "SmoothIntersectionConic": (Weight((-2, 2), (-1, 0, 1)), MuSign.ZERO),
+    "SingularIntersectionConic": (Weight((-3, 3), (-2, -2, 4)), MuSign.POSITIVE),
+    "CommonFibre": (Weight((-3, 3), (-2, -2, 4)), MuSign.POSITIVE),
+    "DistinctFibres": (Weight((-1, 1), (-2, 0, 2)), MuSign.ZERO),
+    "NonReducedVerticalPart": (Weight((-3, 3), (-2, -2, 4)), MuSign.POSITIVE),
+    "IrreducibleConicCylinder": (Weight((-2, 2), (-1, 0, 1)), MuSign.ZERO),
+}
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,11 @@ class ConditionRecord:
     subject: str
     clause: str
     violated: bool
-    weight: Optional[Weight] = None
+
+    @property
+    def weight(self) -> Optional[Weight]:
+        """The witness weight of a violated clause."""
+        return CLAUSES[self.clause][0] if self.violated else None
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,38 @@ class Verdict:
     stability: StabilityClass
     certificate: Optional[Certificate]
     condition_report: Tuple[ConditionRecord, ...]
+
+
+class _Checks:
+    """The condition report of one classification and the certificate of its
+    first violated clause."""
+
+    def __init__(self, f: BiPoly):
+        self.f = f
+        self.records: List[ConditionRecord] = []
+        self.cert: Optional[Certificate] = None
+
+    def note(self, subject: str, clause: str, violated: bool,
+             frame: Callable[[], FrameChange]) -> None:
+        """Record one clause.  The first violated clause builds its frame and
+        keeps the certificate of its witness, verified."""
+        self.records.append(ConditionRecord(subject, clause, violated))
+        if violated and self.cert is None:
+            weight, sign = CLAUSES[clause]
+            self.cert = Certificate(frame(), weight, sign)
+            if not self.cert.verify(self.f):
+                raise RuntimeError(
+                    f"internal error: certificate {weight} fails to verify")
+
+    def verdict(self) -> Verdict:
+        """The class read off the kept certificate's sign."""
+        if self.cert is None:
+            stability = StabilityClass.STABLE
+        elif self.cert.claimed_mu_sign is MuSign.POSITIVE:
+            stability = StabilityClass.UNSTABLE
+        else:
+            stability = StabilityClass.STRICTLY_SEMISTABLE
+        return Verdict(stability, self.cert, tuple(self.records))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +179,6 @@ IDENTITY3 = (
     (Fraction(0), Fraction(1), Fraction(0)),
     (Fraction(0), Fraction(0), Fraction(1)),
 )
-_E3 = IDENTITY3
 
 
 def _line_value(line, p) -> object:
@@ -146,7 +194,7 @@ def _point_on_line(line, avoid=None):
 
 
 def _complete_basis3(row0, row1):
-    for e in _E3:
+    for e in IDENTITY3:
         if not is_zero_scalar(det3((row0, row1, e))):
             return (tuple(row0), tuple(row1), e)
     raise ValueError("rows do not span a plane")
@@ -177,15 +225,12 @@ def normalize_frame(f: BiPoly, P: Point, line=None) -> FrameChange:
 # Helpers shared by the condition checks
 
 
+def _fmt_coords(p) -> str:
+    return "[" + ",".join(format_scalar(c) for c in p) + "]"
+
+
 def _fmt_point(P: Point) -> str:
-    p1, p2 = P
-    a = ",".join(format_scalar(c) for c in p1)
-    b = ",".join(format_scalar(c) for c in p2)
-    return f"[{a}]x[{b}]"
-
-
-def _fmt_p2(p2) -> str:
-    return "[" + ",".join(format_scalar(c) for c in p2) + "]"
+    return f"{_fmt_coords(P[0])}x{_fmt_coords(P[1])}"
 
 
 def _double_line_of(f: BiPoly, p1):
@@ -204,67 +249,36 @@ def _on_some_section(p2, section_points) -> bool:
     return any(conjugate(p2, q) for q in section_points)
 
 
-def _verified(cert: Certificate, f: BiPoly) -> Certificate:
-    if not cert.verify(f):
-        raise RuntimeError(
-            f"internal error: certificate {cert.weight} fails to verify"
-        )
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # Semi-stability (irreducible surfaces)
 
 
-def check_semistability_conditions(
-    f: BiPoly, locus: SingularLocus
-) -> Tuple[List[ConditionRecord], Optional[Certificate]]:
+def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> None:
     """Per-singular-point report of the three semi-stability conditions plus
-    the singular-contracted-section condition; the first violation yields a
-    Positive certificate."""
-    records: List[ConditionRecord] = []
-    cert: Optional[Certificate] = None
-
-    def note(subject, clause, violated, weight=None):
-        records.append(ConditionRecord(subject, clause, violated, weight))
-
+    the singular-contracted-section condition; each has a Positive witness."""
+    f = checks.f
     # Condition (i): tangent cone pulled back from the plane, that is, free
     # of the transverse chart variable x1.
     for rec in locus.isolated_points:
-        violated = all(e[0] == 0 for e in rec.tangent_cone.terms)
-        note(_fmt_point(rec.point), "ConePullback", violated,
-             W_CONE_PULLBACK if violated else None)
-        if violated and cert is None:
-            frame = normalize_frame(f, rec.point)
-            cert = _verified(Certificate(frame, W_CONE_PULLBACK, MuSign.POSITIVE), f)
+        checks.note(_fmt_point(rec.point), "ConePullback",
+                    all(e[0] == 0 for e in rec.tangent_cone.terms),
+                    lambda: normalize_frame(f, rec.point))
     # Condition (ii): non-reduced fibre inside the ramification locus.  A
     # ramified double-line fibre is singular along the whole line, so the
     # witnesses are exactly the fibre-line components of the singular locus.
     for comp in locus.curve_components:
-        if not isinstance(comp, FibreLine):
-            continue
-        violated = ramified_along(f, comp.p1, comp.line)
-        note(f"fibre line over [{','.join(format_scalar(c) for c in comp.p1)}]",
-             "RamifiedDoubleFibre", violated,
-             W_RAMIFIED_DOUBLE_FIBRE if violated else None)
-        if violated and cert is None:
-            p2 = _point_on_line(comp.line)
-            frame = normalize_frame(f, (comp.p1, p2), line=comp.line)
-            cert = _verified(
-                Certificate(frame, W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f
-            )
+        if isinstance(comp, FibreLine):
+            checks.note(
+                f"fibre line over {_fmt_coords(comp.p1)}", "RamifiedDoubleFibre",
+                ramified_along(f, comp.p1, comp.line),
+                lambda: normalize_frame(
+                    f, (comp.p1, _point_on_line(comp.line)), line=comp.line))
     for rec in locus.isolated_points:
         if rec.fibre_rank == 1:  # a double-line fibre
-            p1 = rec.point[0]
-            line = _double_line_of(f, p1)
-            violated = ramified_along(f, p1, line)
-            note(_fmt_point(rec.point), "RamifiedDoubleFibre", violated,
-                 W_RAMIFIED_DOUBLE_FIBRE if violated else None)
-            if violated and cert is None:
-                frame = normalize_frame(f, rec.point, line=line)
-                cert = _verified(
-                    Certificate(frame, W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f
-                )
+            line = _double_line_of(f, rec.point[0])
+            checks.note(_fmt_point(rec.point), "RamifiedDoubleFibre",
+                        ramified_along(f, rec.point[0], line),
+                        lambda: normalize_frame(f, rec.point, line=line))
     # Condition (iii): a reduced reducible fibre with a ramified component
     # whose image line is the constant value of the tangent map along a
     # contracted section through the point.
@@ -282,36 +296,18 @@ def check_semistability_conditions(
         # fibre conic we test whether that line divides it.
         if not line_divides_conic(ps.line, restrict_x(f, p1)):
             continue
-        violated = ramified_along(f, p1, ps.line)
-        note(_fmt_point(rec.point), "RamifiedComponentWithContractedSection",
-             violated, W_RAMIFIED_COMPONENT if violated else None)
-        if violated and cert is None:
-            frame = normalize_frame(f, rec.point, line=ps.line)
-            cert = _verified(
-                Certificate(frame, W_RAMIFIED_COMPONENT, MuSign.POSITIVE), f
-            )
+        checks.note(_fmt_point(rec.point), "RamifiedComponentWithContractedSection",
+                    ramified_along(f, p1, ps.line),
+                    lambda: normalize_frame(f, rec.point, line=ps.line))
     # Singular contracted section (undefined tangent map).
     for comp in locus.curve_components:
-        if not isinstance(comp, HorizontalSection):
-            continue
-        note(f"section through {_fmt_p2(comp.p2)}", "SingularSection", True,
-             W_SINGULAR_SECTION)
-        if cert is None:
+        if isinstance(comp, HorizontalSection):
             p2n = normalize_projective(comp.p2)
-            frame = FrameChange(
-                IDENTITY2, _complete_basis3(p2n, _any_independent(p2n)))
-            cert = _verified(
-                Certificate(frame, W_SINGULAR_SECTION, MuSign.POSITIVE), f
-            )
-    return records, cert
-
-
-def _any_independent(p):
-    p = normalize_projective(p)
-    for e in _E3:
-        if not proportional(p, e):
-            return e
-    raise ValueError("no independent direction")
+            # a nonzero point is proportional to at most one coordinate vector
+            row1 = next(e for e in IDENTITY3 if not proportional(p2n, e))
+            checks.note(
+                f"section through {_fmt_coords(comp.p2)}", "SingularSection", True,
+                lambda: FrameChange(IDENTITY2, _complete_basis3(p2n, row1)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,76 +320,47 @@ def _non_a1_section_frame(f: BiPoly, P: Point) -> FrameChange:
     After moving P to the base point, the vanishing Hessian forces the line
     annihilating the x0x1-conic's linear part to be a component of the fibre
     conic; aligning it to Z(y2) clears both obstructing coefficients at once.
+    That linear part b01*y1 + b02*y2 is nonzero: the tangent cone's x1-terms
+    are exactly x1*(b01*y1 + b02*y2), so b01 = b02 = 0 would violate
+    ConePullback at P, and the stability checks run only when no
+    semi-stability clause is violated.
     """
     base = point_frame(P)
-    fb = act(base, f)
-    A, B, _C = conic_coefficients(fb)
-    b01 = B.coefficient((1, 1, 0))
-    b02 = B.coefficient((1, 0, 1))
-    if not (is_zero_scalar(b01) and is_zero_scalar(b02)):
-        direction = (b02, -b01)
-    else:
-        a11 = A.coefficient((0, 2, 0))
-        a12 = A.coefficient((0, 1, 1))
-        a22 = A.coefficient((0, 0, 2))
-        direction = BinForm(2, (a11, a12, a22)).roots()[0][0]
-    row1 = (Fraction(0), direction[0], direction[1])
+    _A, B, _C = conic_coefficients(act(base, f))
+    row1 = (Fraction(0), B.coefficient((1, 0, 1)), -B.coefficient((1, 1, 0)))
     g3 = _complete_basis3((Fraction(1), Fraction(0), Fraction(0)), row1)
     return FrameChange(IDENTITY2, g3).compose(base)
 
 
-def check_stability_conditions(
-    f: BiPoly, locus: SingularLocus
-) -> Tuple[List[ConditionRecord], Optional[Certificate]]:
-    """Stability test for an irreducible semi-stable f; a violation yields a
-    Zero-sign certificate (the limit along the weight exists and is nonzero).
-    """
-    records: List[ConditionRecord] = []
-    cert: Optional[Certificate] = None
+def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
+    """Stability test for an irreducible semi-stable f; each clause has a
+    Zero witness (the limit along the weight exists and is nonzero)."""
+    f = checks.f
     # Constant tangent map along a section with at most A1 points on it.
     for p2 in locus.section_points:
         p2n = normalize_projective(p2)
         ps = phi_sigma_constant(f, p2)
         if ps.kind is PhiSigmaKind.UNDEFINED:
             raise ValueError("singular contracted section: input is unstable")
-        all_a1 = all(rec.local_type.is_a1 for rec in locus.isolated_points
-                     if _on_some_section(rec.point[1], (p2n,)))
-        violated = ps.kind is PhiSigmaKind.CONSTANT and all_a1
-        records.append(ConditionRecord(
-            f"section through {_fmt_p2(p2n)}", "ConstantTangentMap", violated,
-            W_CONSTANT_TANGENT if violated else None))
-        if violated and cert is None:
-            row1 = _point_on_line(ps.line, avoid=p2n)
-            frame = FrameChange(IDENTITY2, _complete_basis3(p2n, row1))
-            cert = _verified(Certificate(frame, W_CONSTANT_TANGENT, MuSign.ZERO), f)
+        violated = ps.kind is PhiSigmaKind.CONSTANT and all(
+            rec.local_type.is_a1 for rec in locus.isolated_points
+            if _on_some_section(rec.point[1], (p2n,)))
+        checks.note(
+            f"section through {_fmt_coords(p2n)}", "ConstantTangentMap", violated,
+            lambda: FrameChange(IDENTITY2, _complete_basis3(
+                p2n, _point_on_line(ps.line, avoid=p2n))))
     # A non-A1 singular point on a contracted section.
     for rec in locus.isolated_points:
-        if rec.local_type.is_a1:
-            continue
-        if not _on_some_section(rec.point[1], locus.section_points):
-            continue
-        records.append(ConditionRecord(
-            _fmt_point(rec.point), "NonA1OnContractedSection", True,
-            W_NON_A1_ON_SECTION))
-        if cert is None:
-            frame = _non_a1_section_frame(f, rec.point)
-            cert = _verified(Certificate(frame, W_NON_A1_ON_SECTION, MuSign.ZERO), f)
-    # A non-A1 singular point with a non-reduced fibre.
+        if not rec.local_type.is_a1 and _on_some_section(
+                rec.point[1], locus.section_points):
+            checks.note(_fmt_point(rec.point), "NonA1OnContractedSection", True,
+                        lambda: _non_a1_section_frame(f, rec.point))
+    # A non-A1 singular point with a non-reduced (double-line) fibre.
     for rec in locus.isolated_points:
-        if rec.local_type.is_a1:
-            continue
-        if rec.fibre_rank != 1:  # not a double-line fibre
-            continue
-        records.append(ConditionRecord(
-            _fmt_point(rec.point), "NonA1NonReducedFibre", True,
-            W_NON_A1_DOUBLE_FIBRE))
-        if cert is None:
-            line = _double_line_of(f, rec.point[0])
-            frame = normalize_frame(f, rec.point, line=line)
-            cert = _verified(
-                Certificate(frame, W_NON_A1_DOUBLE_FIBRE, MuSign.ZERO), f
-            )
-    return records, cert
+        if not rec.local_type.is_a1 and rec.fibre_rank == 1:
+            checks.note(_fmt_point(rec.point), "NonA1NonReducedFibre", True,
+                        lambda: normalize_frame(
+                            f, rec.point, line=_double_line_of(f, rec.point[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +385,16 @@ def _x_line_coeffs(factor: BiPoly):
 
 def _bilinear_lines(factor: BiPoly):
     """The x0- and x1-coefficient plane lines of a (1,1) factor."""
-    a = tuple(
-        factor.coefficient((1, 0) + tuple(int(i == j) for j in range(3)))
-        for i in range(3)
-    )
-    b = tuple(
-        factor.coefficient((0, 1) + tuple(int(i == j) for j in range(3)))
-        for i in range(3)
-    )
-    return a, b
+    return tuple(
+        tuple(factor.coefficient(x + tuple(int(i == j) for j in range(3)))
+              for i in range(3))
+        for x in ((1, 0), (0, 1)))
 
 
-def _conic_point_and_tangent(conic):
-    """A point on a smooth conic (over at most a quadratic extension) and the
-    tangent line there."""
+def _split_surface_frame(x_rows, conic) -> FrameChange:
+    """x_rows, and plane rows that start with a point p of the smooth conic
+    (over at most a quadratic extension) and a second point on its tangent
+    line at p."""
     c00 = conic.coefficient((2, 0, 0))
     c01 = conic.coefficient((1, 1, 0))
     c11 = conic.coefficient((0, 2, 0))
@@ -439,26 +402,24 @@ def _conic_point_and_tangent(conic):
         raise ValueError("conic is singular along Z(y2)")
     r = BinForm(2, (c00, c01, c11)).roots()[0][0]
     p = (r[0], r[1], Fraction(0))
-    return p, polar(conic_gram(conic), p)
-
-
-def _split_surface_frame(x_rows, conic) -> FrameChange:
-    p, tangent = _conic_point_and_tangent(conic)
-    row1 = _point_on_line(tangent, avoid=p)
+    row1 = _point_on_line(polar(conic_gram(conic), p), avoid=p)
     return FrameChange(x_rows, _complete_basis3(p, row1))
 
 
 def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
-    """The case split over the bidegree multiset of the geometric factors."""
+    """The case split over the bidegree multiset of the geometric factors;
+    each case is one violated clause."""
     if len(factors) < 2:
         raise ValueError("classify_reducible requires at least two factors")
-    bidegrees = sorted(bd for bd, _fac in factors)
-    records: List[ConditionRecord] = []
+    subject, clause, frame = _reducible_case(f, factors)
+    checks = _Checks(f)
+    checks.note(subject, clause, True, lambda: frame)
+    return checks.verdict()
 
-    def verdict(stability, cert, subject, clause, weight=None):
-        records.append(ConditionRecord(
-            subject, clause, stability is not StabilityClass.STABLE, weight))
-        return Verdict(stability, cert, tuple(records))
+
+def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, FrameChange]:
+    """The subject, the clause and the witness frame of a reducible f."""
+    bidegrees = sorted(bd for bd, _fac in factors)
 
     # A plane-line factor (0,1): always unstable.
     plane_lines = [fac for bd, fac in factors if bd == (0, 1)]
@@ -470,10 +431,7 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
             moved.coefficient((2 - i, i, 1, 0, 1)) for i in range(3)
         ])
         g2 = IDENTITY2 if q0.is_zero() else _complete_basis2(q0.roots()[0][0])
-        cert = _verified(
-            Certificate(FrameChange(g2, g3), W_PLANE_FACTOR, MuSign.POSITIVE), f)
-        return verdict(StabilityClass.UNSTABLE, cert,
-                       "plane-line factor", "PlaneFactor", W_PLANE_FACTOR)
+        return "plane-line factor", "PlaneFactor", FrameChange(g2, g3)
 
     # (1,0) x (1,2): semi-stable iff the intersection conic is smooth.
     quadric = [fac for bd, fac in factors if bd == (1, 2)]
@@ -483,22 +441,15 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
         p1root = (lp[1], -lp[0])
         g0 = restrict_x(quadric[0], p1root)
         x_rows = _x_root_rows(lp)
+        subject = "plane-fibre intersection conic"
         if matrix_rank(conic_gram(g0)) == 3:
-            frame = _split_surface_frame(x_rows, g0)
-            cert = _verified(
-                Certificate(frame, W_SPLIT_SURFACE, MuSign.ZERO), f)
-            return verdict(StabilityClass.STRICTLY_SEMISTABLE, cert,
-                           "plane-fibre intersection conic",
-                           "SmoothIntersectionConic", W_SPLIT_SURFACE)
+            return (subject, "SmoothIntersectionConic",
+                    _split_surface_frame(x_rows, g0))
         lines = split_conic(g0)
         if lines is None:
             raise RuntimeError("singular conic failed to split")
-        g3 = _line_kernel_frame(lines[0])
-        cert = _verified(Certificate(
-            FrameChange(x_rows, g3), W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f)
-        return verdict(StabilityClass.UNSTABLE, cert,
-                       "plane-fibre intersection conic",
-                       "SingularIntersectionConic", W_RAMIFIED_DOUBLE_FIBRE)
+        return (subject, "SingularIntersectionConic",
+                FrameChange(x_rows, _line_kernel_frame(lines[0])))
 
     # (1,1) x (1,1): unstable iff the two ruled pieces share a fibre.
     bilinears = [fac for bd, fac in factors if bd == (1, 1)]
@@ -517,12 +468,8 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
             ell = tuple(ustar[0] * a[i] + ustar[1] * b[i] for i in range(3))
             if all(is_zero_scalar(x) for x in ell):
                 ell = tuple(ustar[0] * c[i] + ustar[1] * d[i] for i in range(3))
-            frame = FrameChange(_complete_basis2(ustar), _line_kernel_frame(ell))
-            cert = _verified(Certificate(
-                frame, W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f)
-            return verdict(StabilityClass.UNSTABLE, cert,
-                           "two ruled pieces", "CommonFibre",
-                           W_RAMIFIED_DOUBLE_FIBRE)
+            return ("two ruled pieces", "CommonFibre",
+                    FrameChange(_complete_basis2(ustar), _line_kernel_frame(ell)))
         p1pt = cross(a, b)
         if all(is_zero_scalar(x) for x in p1pt):
             raise RuntimeError("degenerate (1,1) factor")
@@ -533,13 +480,8 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
         ustar = (dp, -cp)
         la = tuple(ustar[0] * a[i] + ustar[1] * b[i] for i in range(3))
         row1 = _point_on_line(la, avoid=p1pt)
-        frame = FrameChange(
-            _complete_basis2(ustar), _complete_basis3(p1pt, row1))
-        cert = _verified(
-            Certificate(frame, W_NON_A1_ON_SECTION, MuSign.ZERO), f)
-        return verdict(StabilityClass.STRICTLY_SEMISTABLE, cert,
-                       "two ruled pieces", "DistinctFibres",
-                       W_NON_A1_ON_SECTION)
+        return ("two ruled pieces", "DistinctFibres", FrameChange(
+            _complete_basis2(ustar), _complete_basis3(p1pt, row1)))
 
     # Two fibre planes and an irreducible conic cylinder.
     if bidegrees == [(0, 2), (1, 0), (1, 0)]:
@@ -549,21 +491,13 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
         conic_factor = next(fac for bd, fac in factors if bd == (0, 2))
         conic = conic_of(conic_factor)
         if is_zero_scalar(l1[0] * l2[1] - l1[1] * l2[0]):
-            # repeated fibre plane
-            frame = FrameChange(_x_root_rows(l1), IDENTITY3)
-            cert = _verified(Certificate(
-                frame, W_RAMIFIED_DOUBLE_FIBRE, MuSign.POSITIVE), f)
-            return verdict(StabilityClass.UNSTABLE, cert,
-                           "repeated fibre plane", "NonReducedVerticalPart",
-                           W_RAMIFIED_DOUBLE_FIBRE)
+            return ("repeated fibre plane", "NonReducedVerticalPart",
+                    FrameChange(_x_root_rows(l1), IDENTITY3))
         x_rows = (_x_root_rows(l2)[0], _x_root_rows(l1)[0])
         if is_zero_scalar(det2(x_rows)):
             raise RuntimeError("fibre-plane roots coincide unexpectedly")
-        frame = _split_surface_frame(x_rows, conic)
-        cert = _verified(Certificate(frame, W_SPLIT_SURFACE, MuSign.ZERO), f)
-        return verdict(StabilityClass.STRICTLY_SEMISTABLE, cert,
-                       "fibre planes and conic cylinder",
-                       "IrreducibleConicCylinder", W_SPLIT_SURFACE)
+        return ("fibre planes and conic cylinder", "IrreducibleConicCylinder",
+                _split_surface_frame(x_rows, conic))
 
     raise RuntimeError(f"unhandled factor bidegrees: {bidegrees}")
 
@@ -581,14 +515,11 @@ def classify(f: BiPoly) -> Verdict:
     if len(factors) >= 2:
         return classify_reducible(f, factors)
     locus = singular_locus(f, factors=factors)
-    semi_records, cert = check_semistability_conditions(f, locus)
-    if cert is not None:
-        return Verdict(StabilityClass.UNSTABLE, cert, tuple(semi_records))
-    stab_records, cert = check_stability_conditions(f, locus)
-    report = tuple(semi_records + stab_records)
-    if cert is not None:
-        return Verdict(StabilityClass.STRICTLY_SEMISTABLE, cert, report)
-    return Verdict(StabilityClass.STABLE, None, report)
+    checks = _Checks(f)
+    check_semistability_conditions(checks, locus)
+    if checks.cert is None:
+        check_stability_conditions(checks, locus)
+    return checks.verdict()
 
 
 # ---------------------------------------------------------------------------

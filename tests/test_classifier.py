@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from biquadric.bipoly import BiPoly, FrameChange, act, parse
 from biquadric.classifier import (
     _on_some_section,
+    CLAUSES,
     Certificate,
     MuSign,
     StabilityClass,
@@ -14,12 +16,13 @@ from biquadric.classifier import (
     normalize_frame,
     random_destabilize_search,
 )
-from biquadric import fibration, singularity
+from biquadric import classifier, fibration, singularity
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.oneps import Weight, mu
 from biquadric.scalars import NumberFieldElement
 from biquadric.singularity import singular_locus
 from conftest import EXPECTED_CLASS, random_poly, random_unimodular
+from make_golden import CORPUS_PATH
 
 W = Weight.parse
 
@@ -97,6 +100,44 @@ class TestVerdicts:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             classify(BiPoly((2, 2), {}))
+
+
+def test_every_clause_decides_a_golden_verdict():
+    # The class is read off the sign of the first violated clause's witness,
+    # so each clause of the table must decide some recorded verdict, and
+    # decide it as its sign says.
+    sign_class = {MuSign.POSITIVE: "Unstable", MuSign.ZERO: "StrictlySemistable"}
+    decided = {}
+    for entry in json.loads(CORPUS_PATH.read_text()):
+        if entry["exit"] == 0 and entry["violated"]:
+            decided.setdefault(entry["violated"][0], set()).add(entry["class"])
+    assert set(decided) == set(CLAUSES)
+    for clause, classes in decided.items():
+        assert classes == {sign_class[CLAUSES[clause][1]]}, clause
+
+
+def test_only_the_first_violation_builds_a_certificate(monkeypatch):
+    # sparse:22 violates ConePullback and then
+    # RamifiedComponentWithContractedSection, both framed by normalize_frame.
+    entry = next(e for e in json.loads(CORPUS_PATH.read_text())
+                 if e["name"] == "sparse:22")
+    calls = {"verify": 0, "normalize_frame": 0}
+    verify, frame = Certificate.verify, classifier.normalize_frame
+
+    def counted_verify(self, f):
+        calls["verify"] += 1
+        return verify(self, f)
+
+    def counted_frame(*args, **kwargs):
+        calls["normalize_frame"] += 1
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(Certificate, "verify", counted_verify)
+    monkeypatch.setattr(classifier, "normalize_frame", counted_frame)
+    verdict = classify(parse(entry["text"]))
+    violated = [r.clause for r in verdict.condition_report if r.violated]
+    assert violated == ["ConePullback", "RamifiedComponentWithContractedSection"]
+    assert calls == {"verify": 1, "normalize_frame": 1}
 
 
 class TestSectionPointsAcrossFields:

@@ -192,31 +192,34 @@ class TestExitCodes:
         assert err.startswith("precondition violation: ")
         assert "unhandled factor bidegrees" in err
 
-    @pytest.mark.parametrize("args, stdin, code", [
+    @pytest.mark.parametrize("args, stdin, code, err", [
         (("verify-cert", "--stdin"), {"frame": {"g2": [["1", "0"], ["0", "1"]]},
-                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
-        (("verify-cert", "--stdin"), {"weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
-        (("classify", '{"2,0;2,0,0": null}'), None, 2),
-        (("classify", '{"2,0;2,0,0": [1]}'), None, 2),
-        (("verify-cert", "{missing}"), None, 2),
-        (("classify", "1/0*x0^2*y0^2"), None, 2),
-        (("classify", '{"2,0;2,0,0": "1/0"}'), None, 2),
-        (("classify", '{"2,0;2,0,0": 1e400}'), None, 2),
+                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3, "'g3'"),
+        (("verify-cert", "--stdin"), {"weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3, "'frame'"),
+        (("classify", '{"2,0;2,0,0": null}'), None, 2, "malformed coefficient map"),
+        (("classify", '{"2,0;2,0,0": [1]}'), None, 2, "malformed coefficient map"),
+        (("verify-cert", "{missing}"), None, 2, "cannot read"),
+        (("classify", "1/0*x0^2*y0^2"), None, 2, "zero denominator"),
+        (("classify", '{"2,0;2,0,0": "1/0"}'), None, 2, "malformed coefficient map"),
+        (("classify", '{"2,0;2,0,0": 1e400}'), None, 2, "malformed coefficient map"),
         (("verify-cert", "--stdin"), {"frame": {"g2": [["1/0", "0"], ["0", "1"]],
                                                 "g3": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
-                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3),
-        (("singular-locus", "--cutoff=1", TWO_A3), None, 2),
-        (("singular-locus", "--cutoff=0", TWO_A3), None, 2),
-        (("singular-locus", "--cutoff=-3", TWO_A3), None, 2),
-        (("classify", "--trials", "-1", TWO_A3), None, 2),
+                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 3, "Fraction(1, 0)"),
+        (("singular-locus", "--cutoff=1", TWO_A3), None, 2, "--cutoff must be at least 2"),
+        (("singular-locus", "--cutoff=0", TWO_A3), None, 2, "--cutoff must be at least 2"),
+        (("singular-locus", "--cutoff=-3", TWO_A3), None, 2, "--cutoff must be at least 2"),
+        (("classify", "--trials", "-1", TWO_A3), None, 2, "--trials must be at least 0"),
+        (("classify", "(x0+x1+y0+y1+y2)^20"), None, 2, "product of total degree 20"),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
             "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
-            "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative"])
-    def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code):
+            "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative",
+            "degree-above-four"])
+    def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code, err):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:
             stdin = json.dumps({"input": {"2,0;2,0,0": "1"}, "certificate": stdin})
         out = run_cli(*args, stdin=stdin)
         assert out.returncode == code
         assert "Traceback" not in out.stderr
+        assert err in out.stderr

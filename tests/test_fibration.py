@@ -328,9 +328,9 @@ class TestGradientsMatchFrameMoves:
                 assert singular == five_partials_singular(f, p2), p2
                 assert singular == (HorizontalSection(p2) in locus.curve_components), p2
                 sections.append(singular)
-            classifier.check_semistability_conditions(f, locus)
+            classifier.check_semistability_conditions(classifier._Checks(f), locus)
             try:
-                classifier.check_stability_conditions(f, locus)
+                classifier.check_stability_conditions(classifier._Checks(f), locus)
             except ValueError:
                 pass  # a singular contracted section
         assert points >= 20
