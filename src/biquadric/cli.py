@@ -82,7 +82,7 @@ def read_poly(text: str) -> BiPoly:
     try:
         if text.startswith("{"):
             return poly_from_map(json.loads(text))
-        return parse(text)
+        return BiPoly((2, 2), parse(text).poly)
     except (ValueError, json.JSONDecodeError) as exc:
         raise ParseError(str(exc)) from exc
 

@@ -462,6 +462,33 @@ def _resultant_y2(q1: AffinePoly, q2: AffinePoly) -> BinForm:
 
 
 def _common_conic_points(conics):
+    """The common points of nonzero conics that share no component.
+
+    They are solved over the roots of their projection from [0 : 0 : 1], and
+    if two lie over one irrational root, from [k : k^2 : 1] for k = 1, 2, ...,
+    which the shear y0 -> y0 + k y2, y1 -> y1 + k^2 y2 moves to [0 : 0 : 1].
+    Two points share a root iff the centre lies on the line joining them; at
+    most 6 such lines each meet the conic of centres y0^2 = y1 y2 at most
+    twice, so some k <= 12 separates them.
+    """
+    y0, y1, y2 = (AffinePoly.variable(Y_VARS, v) for v in Y_VARS)
+    for k in range(13):
+        shear = {"y0": y0 + y2 * k, "y1": y1 + y2 * (k * k)}
+        points = _projected_points([q.substitute(shear) for q in conics] if k else conics)
+        if points is None:
+            continue
+        unique = []
+        for p in points:
+            p = normalize_projective((p[0] + k * p[2], p[1] + k * k * p[2], p[2]))
+            if p not in unique:
+                unique.append(p)
+        return unique
+    raise RuntimeError("no projection centre separates the common points")
+
+
+def _projected_points(conics):
+    """The common points of the conics over the roots of their projection
+    from [0 : 0 : 1], or None if two lie over one irrational root."""
     candidates: List[BinForm] = []
     for q in conics:
         c2, c1, c0 = _y2_profile(q)
@@ -479,21 +506,20 @@ def _common_conic_points(conics):
     points = []
     if g.d >= 1:
         for (u0, u1), _mult in g.roots():
-            points.extend(_solve_y2(conics, u0, u1))
-    # the point [0,0,1] projects nowhere under (y0, y1); test it directly
-    origin_like = (Fraction(0), Fraction(0), Fraction(1))
-    if all(is_zero_scalar(q.evaluate(origin_like)) for q in conics):
-        points.append(origin_like)
-    unique = []
-    for p in points:
-        p = normalize_projective(p)
-        if p not in unique:
-            unique.append(p)
-    return unique
+            over = _solve_y2(conics, u0, u1)
+            if over is None:
+                return None
+            points.extend(over)
+    # the centre [0,0,1] projects nowhere under (y0, y1); test it directly
+    centre = (Fraction(0), Fraction(0), Fraction(1))
+    if all(is_zero_scalar(q.evaluate(centre)) for q in conics):
+        points.append(centre)
+    return points
 
 
 def _solve_y2(conics, u0, u1):
-    """Common y2 values over the base point [u0 : u1] of all the conics."""
+    """Common y2 values over the base point [u0 : u1] of all the conics, or
+    None if two distinct ones lie over an irrational base point."""
     polys = []
     for q in conics:
         c2, c1, c0 = _y2_profile(q)
@@ -502,10 +528,14 @@ def _solve_y2(conics, u0, u1):
         if not p.is_zero():
             polys.append(p)
     if not polys:
-        return [(u0, u1, Fraction(0)), (u0, u1, Fraction(1))]  # whole line: unexpected
+        # the line through the centre and [u0 : u1 : 0] lies on every conic
+        raise RuntimeError("conics share a line; common component expected")
     h = polys[0]
     for p in polys[1:]:
         h = uv_gcd(h, p)
+    if isinstance(u1, NumberFieldElement) and h.degree == 2 \
+            and not is_zero_scalar(h.coeffs[1] * h.coeffs[1] - 4 * h.coeffs[0]):
+        return None
     out = []
     for root, _mult in uv_roots(h):
         # a root in a new number field lifts the base point into that field

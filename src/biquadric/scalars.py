@@ -239,15 +239,14 @@ def uv_factorize(p: UniPoly):
 
 
 def squarefree_part(c: Fraction) -> int:
-    """The squarefree integer d with Q(sqrt(c)) = Q(sqrt(d)), for nonzero c."""
-    import sympy
-
-    n = c.numerator * c.denominator  # sqrt(p/q) and sqrt(pq) generate the same field
-    out = -1 if n < 0 else 1
-    for p, e in sympy.factorint(abs(n)).items():
-        if e % 2:
-            out *= int(p)
-    return out
+    """An integer d with Q(sqrt(c)) = Q(sqrt(d)), for nonzero c: c's numerator
+    times its denominator, less the squares of the primes below 1000.  No
+    integer is factored, so the square of a larger prime may stay in d."""
+    n = c.numerator * c.denominator
+    for p in range(2, 1000):  # no composite p^2 is left to divide n by then
+        while n % (p * p) == 0:
+            n //= p * p
+    return n
 
 
 class NumberFieldElement:
@@ -469,69 +468,29 @@ def uv_roots(p: UniPoly) -> List[Tuple[Scalar, int]]:
     """Roots of p with their multiplicities, p over Q or over one number field.
 
     Over Q, an irreducible factor of degree >= 2 contributes one root: the
-    generator of the number field that the factor defines.  Over a number
-    field, only roots inside that field are found; a root that would need a
-    further extension (a tower of fields) raises NotImplementedError.
+    generator of the number field that the factor defines; p counts as over
+    Q if it is once made monic.  Over a number field, only a linear p or a
+    double root is found: two distinct roots raise NotImplementedError.
     """
     if p.degree < 1:
         return []
+    p = p.monic()
     if p.degree == 1:
-        return [(-p.coeffs[0] * scalar_inv(p.coeffs[1]), 1)]
-    if p.is_rational():
+        return [(-p.coeffs[0], 1)]
+    rational = [c.as_fraction() if isinstance(c, NumberFieldElement) and c.is_rational() else c
+                for c in p.coeffs]
+    if all(isinstance(c, Fraction) for c in rational):
         return [
             (-fac.coeffs[0] if fac.degree == 1 else NumberFieldElement(fac, UniPoly.gen()), mult)
-            for fac, mult in uv_factorize(p)
+            for fac, mult in uv_factorize(UniPoly(rational))
         ]
     if p.degree == 2:
-        inv = scalar_inv(p.leading())
-        b, c = promote_pair(p.coeffs[1] * inv, p.coeffs[0] * inv)
-        disc = b * b - 4 * c
-        if disc.is_zero():
-            return [(b * Fraction(-1, 2), 2)]
-        sqrt = _nf_sqrt(disc)
-        if sqrt is not None:
-            root = (sqrt - b) * Fraction(1, 2)
-            return [(root, 1), (-b - root, 1)]
+        half = p.coeffs[1] * Fraction(1, 2)
+        if is_zero_scalar(half * half - p.coeffs[0]):
+            return [(-half, 2)]
     raise NotImplementedError(
         "roots outside the coefficients' number field (a tower) are not supported"
     )
-
-
-def _nf_sqrt(a: NumberFieldElement):
-    """A square root of a within its own number field, or None.
-
-    Decided by factoring X^2 - a over the field: a linear factor exhibits the
-    root, and its absence proves there is none.
-    """
-    import sympy
-
-    t = sympy.Symbol("t")
-    mod_expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * t ** i
-        for i, c in enumerate(a.modulus)
-    )
-    alpha = sympy.CRootOf(sympy.Poly(mod_expr, t), 0)
-    val = sum(
-        sympy.Rational(c.numerator, c.denominator) * alpha ** i
-        for i, c in enumerate(a.residue)
-    )
-    X = sympy.Symbol("X")
-    try:
-        poly = sympy.Poly(X * X - val, X, extension=alpha)
-        _, factors = poly.factor_list()
-    except (NotImplementedError, sympy.polys.polyerrors.PolynomialError):
-        return None
-    for fac, _m in factors:
-        if fac.degree() == 1:
-            coeffs = fac.all_coeffs()  # [lead, const] over QQ(alpha)
-            root_expr = sympy.simplify(-coeffs[1] / coeffs[0])
-            # express the root in the power basis of alpha
-            rep = sympy.Poly(sympy.expand(root_expr), alpha).all_coeffs()[::-1]
-            residue = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in rep]
-            cand = NumberFieldElement(a.modulus, residue)
-            if cand * cand == a:
-                return cand
-    return None
 
 
 def format_scalar(c) -> str:

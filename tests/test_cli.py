@@ -210,11 +210,13 @@ class TestExitCodes:
         (("singular-locus", "--cutoff=-3", TWO_A3), None, 2, "--cutoff must be at least 2"),
         (("classify", "--trials", "-1", TWO_A3), None, 2, "--trials must be at least 0"),
         (("classify", "(x0+x1+y0+y1+y2)^20"), None, 2, "product of total degree 20"),
+        (("mu", "--weight=-1,1;-1,0,1", "x0*y0"), None, 2, "does not match bidegree (2, 2)"),
+        (("classify", "x0*y0"), None, 2, "does not match bidegree (2, 2)"),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
             "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
             "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative",
-            "degree-above-four"])
+            "degree-above-four", "mu-bidegree-1-1", "classify-bidegree-1-1"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code, err):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:

@@ -12,6 +12,7 @@ from biquadric.fibration import (
     PhiSigmaKind,
     binform_gcd,
     conic_coefficients,
+    conjugate,
     contracted_sections,
     discriminant,
     fibre_matrix,
@@ -37,6 +38,26 @@ SMOOTH = parse("x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2) + x1^2*(y0^2+2*y1^2+
 # irreducible, singular along the contracted section through [1, 0, 0]
 SINGULAR_SECTION = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*(y1^2+2*y2^2+y1*y2)"
                          " + x1^2*(3*y1^2+y2^2+y1*y2)")
+
+
+# Five sparse pool forms and one fuzz find whose contracted sections need
+# two points over one irrational base root.
+TOWER_FORMS = [
+    "-x0^2*y0*y1 + x0^2*y2^2 - 2*x1^2*y0^2 - x1^2*y1^2",
+    "x0^2*y0^2 - x0^2*y0*y1 + x0^2*y2^2 + x1^2*y1^2 + 2*x1^2*y2^2",
+    "-2*x0^2*y1^2 - 2*x0^2*y2^2 + x1^2*y0^2 - 2*x1^2*y2^2",
+    "x0^2*y0^2 - 2*x0^2*y1^2 - x1^2*y0*y1 + x1^2*y1^2 + 2*x1^2*y2^2",
+    "x0^2*y0^2 + 2*x0^2*y1^2 - 2*x1^2*y0^2 - 2*x1^2*y0*y2 + 2*x1^2*y2^2",
+    "-4*x0^2*y1^2 - 2*x0^2*y2^2 + 3*x1^2*y0^2 + 3*x1^2*y1^2",
+]
+
+
+def x_squares_family(rng):
+    """x0^2 Q1 + x1^2 Q2, each conic coefficient kept with probability 1/2
+    and drawn from [-5, 5]."""
+    terms = {m: Fraction(rng.randint(-5, 5)) for m in MONOMIALS
+             if m[1] != 1 and rng.random() < 0.5}
+    return BiPoly((2, 2), {m: c for m, c in terms.items() if c} or {MONOMIALS[0]: Fraction(1)})
 
 
 def poly_from_pencil(pencil):
@@ -167,6 +188,29 @@ class TestContractedSections:
 
     def test_smooth_surface_has_none(self):
         assert contracted_sections(SMOOTH) == ()
+
+    def test_tower_family(self):
+        # f = x0^2 Q1 + x1^2 Q2 has the points of Q1 n Q2 as its contracted
+        # sections.  In the first six forms two of them lie over one
+        # irrational root of the projection from [0:0:1], which needed a
+        # square root over that root's field; the projection from another
+        # centre separates them.
+        forms = [parse(text) for text in TOWER_FORMS]
+        rng = random.Random(2009)
+        forms += [x_squares_family(rng) for _ in range(30)]
+        for f in forms:
+            verdict = classifier.classify(f)
+            if verdict.certificate is not None:
+                assert verdict.certificate.verify(f)
+            moved = act(random_unimodular(rng), f)
+            assert classifier.classify(moved).stability is verdict.stability
+            if len(bihomogeneous_factor(f)) > 1:
+                continue
+            points = contracted_sections(f)
+            for p in points:
+                assert all(is_zero_scalar(q.evaluate(p)) for q in conic_coefficients(f))
+            for i, p in enumerate(points):
+                assert not any(conjugate(p, q) for q in points[i + 1:])
 
 
 class TestConicCoefficients:

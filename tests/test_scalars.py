@@ -9,6 +9,7 @@ from biquadric.scalars import (
     format_scalar,
     parse_scalar,
     scalar_inv,
+    squarefree_part,
     uv_factorize,
     uv_gcd,
     uv_roots,
@@ -68,6 +69,22 @@ class TestSquarefree:
         for i, (a, _) in enumerate(parts):
             for b, _ in parts[i + 1:]:
                 assert uv_gcd(a, b) == P(1)
+
+
+class TestSquarefreePart:
+    """An integer that names the field Q(sqrt(c)); nothing is factored."""
+
+    def test_square_divided_out(self):
+        assert squarefree_part(Fraction(8)) == 2
+
+    def test_negative_fraction(self):
+        # sqrt(-3/4) generates Q(sqrt(-3))
+        assert squarefree_part(Fraction(-3, 4)) == -3
+
+    def test_large_primes_kept(self):
+        # factoring 9 p q takes seconds; dividing out small squares does not
+        p, q = 100000000000000000039, 300000000000000000053
+        assert squarefree_part(Fraction(9 * p * q)) == p * q
 
 
 class TestFactorize:

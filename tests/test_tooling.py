@@ -30,19 +30,31 @@ def test_cli_import_leaves_sympy_out():
     assert subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src").returncode == 0
 
 
+def _imports_sympy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "sympy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"
+
+
 def test_only_scalars_imports_sympy():
-    importers = set()
-    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(n.split(".")[0] == "sympy" for n in names):
-                importers.add(path.name)
+    importers = {path.name for path in (ROOT / "src" / "biquadric").glob("*.py")
+                 if any(map(_imports_sympy, ast.walk(ast.parse(path.read_text()))))}
     assert importers == {"scalars.py"}
+
+
+def test_sympy_only_factors_over_q():
+    # sympy factors univariate polynomials over Q and does nothing else: one
+    # function imports it, and src/ names nothing else of sympy's.
+    everywhere, in_functions, names = 0, [], set()
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        everywhere += sum(map(_imports_sympy, ast.walk(tree)))
+        in_functions += [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                         for node in ast.walk(func) if _imports_sympy(node)]
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "sympy"}
+    assert everywhere == 1 and in_functions == ["_to_sympy"]
+    assert names <= {"Poly", "Symbol"}
 
 
 def test_every_src_definition_has_a_caller():
