@@ -354,7 +354,7 @@ class _Parser:
     """Recursive-descent parser for the input grammar.
 
     Grammar: sums/differences of products of powers of the five variables,
-    rational literals p/q, and parenthesized subexpressions.
+    rational literals p/q, parenthesized subexpressions and unary minus.
     """
 
     def __init__(self, text: str):
@@ -382,12 +382,9 @@ class _Parser:
         return p
 
     def parse_sum(self) -> AffinePoly:
-        sign = 1
-        ch = self._peek()
-        if ch in "+-":
+        if self._peek() == "+":
             self.pos += 1
-            sign = -1 if ch == "-" else 1
-        acc = self.parse_product() * sign
+        acc = self.parse_product()
         while True:
             ch = self._peek()
             if ch == "+":
@@ -422,6 +419,11 @@ class _Parser:
             acc = acc * factor
 
     def parse_power(self) -> AffinePoly:
+        # unary minus signs bind looser than "^": "x0*-y0^2" is x0*(-(y0^2))
+        sign = 1
+        while self._peek() == "-":
+            self.pos += 1
+            sign = -sign
         base = self.parse_atom()
         if self._peek() == "^":
             self.pos += 1
@@ -434,8 +436,8 @@ class _Parser:
             n = int(self.text[start : self.pos])
             if base.total_degree() > 0:
                 self._check_degree(base.total_degree() * n)
-            return base ** n
-        return base
+            base = base ** n
+        return -base if sign < 0 else base
 
     def parse_atom(self) -> AffinePoly:
         ch = self._peek()
@@ -576,12 +578,50 @@ def inv3(m):
     return tuple(tuple(c * di for c in row) for row in adj)
 
 
+def _linear_image(g, exps) -> dict:
+    """Terms of the product over k of (sum_i g[i][k] v_i) ** exps[k]."""
+    out = {(0,) * len(g): 1}
+    for k, e in enumerate(exps):
+        column = [(i, g[i][k]) for i in range(len(g)) if g[i][k]]
+        for _ in range(e):
+            nxt: dict = {}
+            for m, c in out.items():
+                for i, gik in column:
+                    key = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    nxt[key] = nxt.get(key, 0) + c * gik
+            out = nxt
+    return out
+
+
+def moved_terms(g2, g3, terms: Mapping[BiMonomial, object]) -> dict:
+    """The terms of f(x * g2, y * g3), that is Sym(g2)^T . C . Sym(g3) on f's
+    coefficient matrix C: each x-part's y-form is moved once, from memoized
+    y-monomial images, into its x-monomial's image.  Scalars are ints (which
+    stay machine integers), Fractions or number-field elements."""
+    y_forms: dict = {}
+    for m, c in terms.items():
+        y_forms.setdefault(m[:2], []).append((m[2:], c))
+    y_images: dict = {}
+    out: dict = {}
+    for xa, y_form in y_forms.items():
+        moved_y: dict = {}
+        for yb, c in y_form:
+            if yb not in y_images:
+                y_images[yb] = _linear_image(g3, yb)
+            for ye, v in y_images[yb].items():
+                moved_y[ye] = moved_y.get(ye, 0) + c * v
+        for xe, u in _linear_image(g2, xa).items():
+            for ye, v in moved_y.items():
+                key = xe + ye
+                out[key] = out.get(key, 0) + u * v
+    return {m: c for m, c in out.items() if c}
+
+
 def act(g: FrameChange, f: BiPoly) -> BiPoly:
     """The substitution action (g.f)(x, y) = f(x * g2, y * g3)."""
-    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    lx = [AffinePoly(ALL_VARS, {units[i]: g.g2[i][k] for i in range(2)}) for k in range(2)]
-    ly = [AffinePoly(ALL_VARS, {units[2 + i]: g.g3[i][k] for i in range(3)}) for k in range(3)]
-    return BiPoly(f.bidegree, f.poly.substitute(dict(zip(ALL_VARS, lx + ly))))
+    poly = AffinePoly(ALL_VARS)
+    poly.terms = moved_terms(g.g2, g.g3, f.terms)
+    return BiPoly(f.bidegree, poly)
 
 
 def is_scalar_multiple(f, g) -> bool:

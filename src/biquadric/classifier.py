@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Optional, Tuple
 
 from .bipoly import (
@@ -24,6 +25,7 @@ from .bipoly import (
     cross,
     det2,
     det3,
+    moved_terms,
 )
 from .factorizer import Factor, bihomogeneous_factor
 from .fibration import (
@@ -45,7 +47,7 @@ from .fibration import (
     restrict_x,
     split_conic,
 )
-from .oneps import Weight, mu
+from .oneps import Weight, monomial_weight, mu
 from .scalars import format_scalar, is_zero_scalar
 from .singularity import (
     FibreLine,
@@ -529,11 +531,11 @@ def classify(f: BiPoly) -> Verdict:
 def _random_rows(rng: random.Random, n: int):
     while True:
         rows = tuple(
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            tuple(rng.randint(-3, 3) for _ in range(n))
             for _ in range(n)
         )
         d = det2(rows) if n == 2 else det3(rows)
-        if not is_zero_scalar(d):
+        if d:
             return rows
 
 
@@ -542,24 +544,27 @@ def random_destabilize_search(
 ) -> Optional[Certificate]:
     """Sample random frames and solve the weight cone over the transformed
     support; returns the first verifying certificate (Positive preferred over
-    Zero per frame) or None.  Deterministic given the seed."""
+    Zero per frame) or None.  Deterministic given the seed.  The frames are
+    integer, so each moved support is that of the moved integer multiple of
+    the rational f; a weight found is verified exactly."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    int_terms = {m: int(c * scale) for m, c in f.terms.items()}
     rng = random.Random(seed)
     for trial in range(trials):
         if trial == 0:
-            frame = FrameChange.identity()
+            g2, g3 = IDENTITY2, IDENTITY3
         else:
-            frame = FrameChange(_random_rows(rng, 2), _random_rows(rng, 3))
-        moved = act(frame, f)
-        support = set(moved.terms)
+            g2, g3 = _random_rows(rng, 2), _random_rows(rng, 3)
+        support = frozenset(moved_terms(g2, g3, int_terms))
         for strict in (True, False):
             w = find_destabilizing_weight(support, strict)
             if w is None:
                 continue
-            value = mu(moved, w)
+            value = min(monomial_weight(m, w) for m in support)
             sign = MuSign.POSITIVE if value > 0 else MuSign.ZERO
-            cert = Certificate(frame, w, sign)
+            cert = Certificate(FrameChange(g2, g3), w, sign)
             if cert.verify(f):
                 return cert
     return None

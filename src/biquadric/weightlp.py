@@ -14,14 +14,12 @@ decides the strict problem.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .bipoly import BiMonomial, cross
 from .oneps import Weight, monomial_weight
-
-Vec3 = Tuple[Fraction, Fraction, Fraction]
 
 # Normalization half-spaces in (r0, s0, s1): r0 <= 0, s0 <= s1, s1 <= s2.
 _NORMALIZATION_NORMALS: Tuple[Tuple[int, int, int], ...] = (
@@ -36,7 +34,7 @@ def support_normal(m: BiMonomial) -> Tuple[int, int, int]:
     return (m[0] - m[1], m[2] - m[4], m[3] - m[4])
 
 
-def _dot(a, b) -> Fraction:
+def _dot(a, b) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -73,9 +71,15 @@ def find_destabilizing_weight(support: Iterable[BiMonomial], strict: bool) -> Op
     The returned witness is the lexicographically least primitive candidate,
     so results are deterministic.  None is a proof of infeasibility.
     """
-    support = list(support)
+    support = frozenset(support)
     if not support:
         raise ValueError("empty support")
+    return _destabilizing_weight(support, strict)
+
+
+# The witness search meets a few hundred (support, strict) pairs on dense forms.
+@lru_cache(maxsize=1024)
+def _destabilizing_weight(support: FrozenSet[BiMonomial], strict: bool) -> Optional[Weight]:
     support_normals = sorted({support_normal(m) for m in support})
     normals = list(_NORMALIZATION_NORMALS) + support_normals
     rays = _extreme_rays(normals)

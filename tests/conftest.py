@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from biquadric.bipoly import BiPoly, FrameChange, all_monomials, parse
+from biquadric.bipoly import ALL_VARS, AffinePoly, BiPoly, FrameChange, all_monomials, parse
 
 # Named instances exercising each branch of the classification.  The comments
 # say which geometric feature each one carries.
@@ -88,6 +88,15 @@ def random_poly(rng, lo=-3, hi=3, keep=1.0):
     if not terms:
         terms[MONOMIALS[0]] = Fraction(1)
     return BiPoly((2, 2), terms)
+
+
+def substitution_act(g, f):
+    """Reference for ``bipoly.act``: substitute the five linear forms of the
+    frame into f, term by term, in the sparse polynomial type."""
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    lx = [AffinePoly(ALL_VARS, {units[i]: g.g2[i][k] for i in range(2)}) for k in range(2)]
+    ly = [AffinePoly(ALL_VARS, {units[2 + i]: g.g3[i][k] for i in range(3)}) for k in range(3)]
+    return BiPoly(f.bidegree, f.poly.substitute(dict(zip(ALL_VARS, lx + ly))))
 
 
 def random_unimodular(rng):

@@ -14,7 +14,10 @@ from biquadric.bipoly import (
     inv3,
     parse,
 )
-from conftest import random_poly, random_unimodular
+from biquadric.classifier import _random_rows
+from biquadric.scalars import NumberFieldElement
+from biquadric.singularity import point_frame
+from conftest import random_poly, random_unimodular, substitution_act
 
 MONOS = list(all_monomials())
 
@@ -58,6 +61,14 @@ class TestParse:
         with pytest.raises(ValueError):
             parse("x0^2*y0^2 + x0*y0")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("x0^2*y0^2 + -1*x1^2*y1^2", "x0^2*y0^2 - x1^2*y1^2"),
+        ("x0^2*y0^2 - -x1^2*y1^2", "x0^2*y0^2 + x1^2*y1^2"),
+        ("x0^2*-y0^2", "-x0^2*y0^2"),
+    ], ids=["after-plus", "after-minus", "after-times"])
+    def test_unary_minus_after_binary_operator(self, text, expected):
+        assert parse(text) == parse(expected)
+
     def test_round_trip_corpus(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -91,6 +102,34 @@ class TestAct:
     def test_inverse_round_trip(self, f, seed):
         g = random_unimodular(random.Random(seed))
         assert act(inverse(g), act(g, f)) == f
+
+    def test_matches_substitution_under_integer_frames(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            f = random_poly(rng)
+            g = random_unimodular(rng)
+            h = FrameChange(_random_rows(rng, 2), _random_rows(rng, 3))
+            assert act(g, f) == substitution_act(g, f)
+            assert act(h, f) == substitution_act(h, f)
+
+    def test_matches_substitution_under_number_field_frames(self):
+        rng = random.Random(17)
+        sqrt2 = NumberFieldElement((-2, 0, 1), (0, 1))
+        for _ in range(10):
+            p1 = (Fraction(rng.randint(-3, 3)) + sqrt2 * rng.randint(1, 3), Fraction(1))
+            p2 = (Fraction(1), sqrt2 * rng.randint(-2, 2), Fraction(rng.randint(-2, 2)) + sqrt2)
+            g = point_frame((p1, p2))
+            f = random_poly(rng)
+            assert act(g, f) == substitution_act(g, f)
+
+    @pytest.mark.parametrize("bidegree", [(1, 1), (1, 2), (2, 1)], ids=["1-1", "1-2", "2-1"])
+    def test_matches_substitution_in_other_bidegrees(self, bidegree):
+        rng = random.Random(19)
+        monos = all_monomials(bidegree)
+        for _ in range(10):
+            f = BiPoly(bidegree, {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in monos})
+            g = random_unimodular(rng)
+            assert act(g, f) == substitution_act(g, f)
 
     def test_compose_convention(self):
         rng = random.Random(11)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from biquadric.bipoly import BiPoly, FrameChange, act, parse
+from biquadric.cli import read_poly
 from biquadric.classifier import (
     _on_some_section,
     CLAUSES,
@@ -21,7 +22,8 @@ from biquadric.factorizer import bihomogeneous_factor
 from biquadric.oneps import Weight, mu
 from biquadric.scalars import NumberFieldElement
 from biquadric.singularity import singular_locus
-from conftest import EXPECTED_CLASS, random_poly, random_unimodular
+from biquadric.weightlp import _destabilizing_weight
+from conftest import EXPECTED_CLASS, random_poly, random_unimodular, substitution_act
 from make_golden import CORPUS_PATH
 
 W = Weight.parse
@@ -261,6 +263,46 @@ class TestRandomSearch:
     def test_trials_must_be_positive(self, fixtures):
         with pytest.raises(ValueError):
             random_destabilize_search(fixtures["cone_point"], trials=0, seed=1)
+
+    @staticmethod
+    def reference_search(f, trials, seed):
+        """The search on Fraction frames, with the substitution action and
+        the uncached weight LP, drawing the same frames."""
+        lp = _destabilizing_weight.__wrapped__
+        rng = random.Random(seed)
+        for trial in range(trials):
+            frame = FrameChange.identity() if trial == 0 else FrameChange(
+                classifier._random_rows(rng, 2), classifier._random_rows(rng, 3))
+            moved = substitution_act(frame, f)
+            for strict in (True, False):
+                w = lp(frozenset(moved.terms), strict)
+                if w is None:
+                    continue
+                sign = MuSign.POSITIVE if mu(moved, w) > 0 else MuSign.ZERO
+                cert = Certificate(frame, w, sign)
+                if cert.verify(f):
+                    return cert
+        return None
+
+    def test_matches_reference_search(self):
+        # Every golden input with two trials and Stable dense forms with four:
+        # the substitution reference is what makes this slow.
+        golden = []
+        for entry in json.loads(CORPUS_PATH.read_text()):
+            try:
+                golden.append(read_poly(entry["text"]))
+            except ValueError:
+                continue
+        rng = random.Random(23)
+        dense = [random_poly(rng) for _ in range(20)]
+        found = 0
+        for forms, trials in ((golden, 2), (dense, 4)):
+            for seed in range(3):
+                for f in forms:
+                    cert = random_destabilize_search(f, trials, seed)
+                    assert cert == self.reference_search(f, trials, seed)
+                    found += cert is not None
+        assert found > 100
 
 
 class TestFrameInvariance:

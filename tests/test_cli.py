@@ -180,6 +180,11 @@ class TestExitCodes:
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2
 
+    def test_unary_minus_after_binary_operator(self):
+        out = run_cli("classify", "x0^2*y0^2 + -1*x1^2*y1^2 - -x0*x1*y2^2")
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[0] == "class: StrictlySemistable"
+
     def test_internal_error_exits_3(self, monkeypatch, capsys):
         from biquadric import cli
 

@@ -17,8 +17,10 @@ def test_benchmark_tracer_finds_every_layer():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    # The tracer looks sympy.factor_list up in sys.modules; in the benchmark
-    # the warm-up operations have imported sympy by then.
+    # The tracer looks sympy.factor_list up in sys.modules.  The benchmark
+    # has imported sympy by then only if one of each workload's three warm-up
+    # operations factors a polynomial over Q; a change that stops that (for
+    # one seed) needs the tracer fix of ROADMAP item 10 first.
     import sympy  # noqa: F401
     tracing.Tracer()
 

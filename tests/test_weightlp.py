@@ -5,7 +5,7 @@ import pytest
 
 from biquadric.bipoly import all_monomials
 from biquadric.oneps import Weight, m_plus, monomial_weight
-from biquadric.weightlp import find_destabilizing_weight
+from biquadric.weightlp import _destabilizing_weight, find_destabilizing_weight
 
 MONOS = list(all_monomials())
 
@@ -108,3 +108,19 @@ class TestDeterminism:
             a = find_destabilizing_weight(support, strict=True)
             b = find_destabilizing_weight(set(sorted(support, reverse=True)), strict=True)
             assert a == b
+
+
+class TestCache:
+    def test_cached_answers_match_uncached(self):
+        _destabilizing_weight.cache_clear()
+        rng = random.Random(31)
+        supports = [frozenset(rng.sample(MONOS, rng.randint(1, 18))) for _ in range(500)]
+        uncached = {(s, strict): _destabilizing_weight.__wrapped__(s, strict)
+                    for s in supports for strict in (True, False)}
+        # once to fill the cache, once more to read it back
+        for _ in range(2):
+            for (support, strict), expected in uncached.items():
+                assert find_destabilizing_weight(set(support), strict) == expected
+        assert _destabilizing_weight.cache_info().hits >= len(uncached)
+        answers = list(uncached.values())
+        assert None in answers and any(w is not None for w in answers)
