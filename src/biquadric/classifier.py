@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .bipoly import (
     BiPoly,
@@ -31,6 +31,7 @@ from .factorizer import Factor, bihomogeneous_factor
 from .fibration import (
     BinForm,
     PhiSigmaKind,
+    bilinear,
     binform_gcd,
     conic_coefficients,
     conic_gram,
@@ -54,7 +55,7 @@ from .singularity import (
     HorizontalSection,
     Point,
     SingularLocus,
-    point_frame,
+    completed_rows,
     singular_locus,
     y_linear_coeffs,
 )
@@ -148,14 +149,13 @@ class _Checks:
         self.records: List[ConditionRecord] = []
         self.cert: Optional[Certificate] = None
 
-    def note(self, subject: str, clause: str, violated: bool,
-             frame: Callable[[], FrameChange]) -> None:
-        """Record one clause.  The first violated clause builds its frame and
+    def note(self, subject: str, clause: str, violated: bool, flag: Flag) -> None:
+        """Record one clause.  The first violated clause frames its flag and
         keeps the certificate of its witness, verified."""
         self.records.append(ConditionRecord(subject, clause, violated))
         if violated and self.cert is None:
             weight, sign = CLAUSES[clause]
-            self.cert = Certificate(frame(), weight, sign)
+            self.cert = Certificate(normalize_frame(self.f, flag), weight, sign)
             if not self.cert.verify(self.f):
                 raise RuntimeError(
                     f"internal error: certificate {weight} fails to verify")
@@ -172,7 +172,22 @@ class _Checks:
 
 
 # ---------------------------------------------------------------------------
-# Frame construction
+# Witness flags and their frames
+
+
+@dataclass(frozen=True)
+class Flag:
+    """What a clause's witness weight destabilizes: mu(g.f, w) depends on the
+    frame g only through the flag that g sends to the standard one
+    (Mumford-Fogarty-Kirwan, GIT, Prop. 2.7).
+
+    `x` holds zero, one or two points of P^1 (the x-rows), `p` is a point of
+    P^2 (the first y-row) and `line`, given when the weight needs it, a line
+    through p (spanned by the first two y-rows)."""
+
+    x: Tuple = ()
+    p: Optional[Tuple] = None
+    line: Optional[Tuple] = None
 
 
 IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -202,25 +217,23 @@ def _complete_basis3(row0, row1):
     raise ValueError("rows do not span a plane")
 
 
-def _complete_basis2(row0):
-    row1 = (Fraction(0), Fraction(1)) if not is_zero_scalar(row0[0]) else (Fraction(1), Fraction(0))
-    if is_zero_scalar(det2((tuple(row0), row1))):
-        raise ValueError("zero row")
-    return (tuple(row0), row1)
-
-
-def normalize_frame(f: BiPoly, P: Point, line=None) -> FrameChange:
-    """A frame moving P to [1,0] x [1,0,0] and, if given, the plane line
-    through P's plane point to Z(y2)."""
-    frame = point_frame(P)
-    if line is not None:
-        p2 = frame.g3[0]
-        if not is_zero_scalar(_line_value(line, p2)):
+def normalize_frame(f: BiPoly, flag: Flag) -> FrameChange:
+    """The frame sending `flag` to the standard flag.  The flag's coordinates
+    are taken as given; a lone point is completed by coordinate vectors, and
+    p with a line by a second point of the line.  An x-point together with p
+    must be a point of the surface."""
+    g2 = completed_rows(flag.x[0]) if len(flag.x) == 1 else flag.x or IDENTITY2
+    if flag.p is None:
+        g3 = IDENTITY3
+    elif flag.line is None:
+        g3 = completed_rows(flag.p)
+    else:
+        if not is_zero_scalar(_line_value(flag.line, flag.p)):
             raise ValueError("alignment line does not pass through the point")
-        frame = FrameChange(frame.g2, _complete_basis3(p2, _point_on_line(line, avoid=p2)))
-    if not is_zero_scalar(f.evaluate(*P)):
+        g3 = _complete_basis3(flag.p, _point_on_line(flag.line, avoid=flag.p))
+    if flag.x and flag.p is not None and not is_zero_scalar(f.evaluate(flag.x[0], flag.p)):
         raise ValueError("the point does not lie on the surface")
-    return frame
+    return FrameChange(g2, g3)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +275,9 @@ def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> Non
     # Condition (i): tangent cone pulled back from the plane, that is, free
     # of the transverse chart variable x1.
     for rec in locus.isolated_points:
+        p1, p2 = rec.point
         checks.note(_fmt_point(rec.point), "ConePullback",
-                    all(e[0] == 0 for e in rec.tangent_cone.terms),
-                    lambda: normalize_frame(f, rec.point))
+                    all(e[0] == 0 for e in rec.tangent_cone.terms), Flag((p1,), p2))
     # Condition (ii): non-reduced fibre inside the ramification locus.  A
     # ramified double-line fibre is singular along the whole line, so the
     # witnesses are exactly the fibre-line components of the singular locus.
@@ -273,14 +286,13 @@ def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> Non
             checks.note(
                 f"fibre line over {_fmt_coords(comp.p1)}", "RamifiedDoubleFibre",
                 ramified_along(f, comp.p1, comp.line),
-                lambda: normalize_frame(
-                    f, (comp.p1, _point_on_line(comp.line)), line=comp.line))
+                Flag((comp.p1,), _point_on_line(comp.line), comp.line))
     for rec in locus.isolated_points:
+        p1, p2 = rec.point
         if rec.fibre_rank == 1:  # a double-line fibre
-            line = _double_line_of(f, rec.point[0])
+            line = _double_line_of(f, p1)
             checks.note(_fmt_point(rec.point), "RamifiedDoubleFibre",
-                        ramified_along(f, rec.point[0], line),
-                        lambda: normalize_frame(f, rec.point, line=line))
+                        ramified_along(f, p1, line), Flag((p1,), p2, line))
     # Condition (iii): a reduced reducible fibre with a ramified component
     # whose image line is the constant value of the tangent map along a
     # contracted section through the point.
@@ -299,39 +311,37 @@ def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> Non
         if not line_divides_conic(ps.line, restrict_x(f, p1)):
             continue
         checks.note(_fmt_point(rec.point), "RamifiedComponentWithContractedSection",
-                    ramified_along(f, p1, ps.line),
-                    lambda: normalize_frame(f, rec.point, line=ps.line))
+                    ramified_along(f, p1, ps.line), Flag((p1,), p2, ps.line))
     # Singular contracted section (undefined tangent map).
     for comp in locus.curve_components:
         if isinstance(comp, HorizontalSection):
-            p2n = normalize_projective(comp.p2)
-            # a nonzero point is proportional to at most one coordinate vector
-            row1 = next(e for e in IDENTITY3 if not proportional(p2n, e))
             checks.note(
                 f"section through {_fmt_coords(comp.p2)}", "SingularSection", True,
-                lambda: FrameChange(IDENTITY2, _complete_basis3(p2n, row1)))
+                Flag(p=normalize_projective(comp.p2)))
 
 
 # ---------------------------------------------------------------------------
 # Stability (irreducible semi-stable surfaces)
 
 
-def _non_a1_section_frame(f: BiPoly, P: Point) -> FrameChange:
-    """Frame for a non-A1 singular point lying on a contracted section.
+def _non_a1_section_line(f: BiPoly, P: Point):
+    """The line a non-A1 singular point P on a contracted section is aligned
+    to: the polar line at p2 of f_t(p1, .), for the x-variable x_t that the
+    frame completes p1 with.
 
-    After moving P to the base point, the vanishing Hessian forces the line
-    annihilating the x0x1-conic's linear part to be a component of the fibre
-    conic; aligning it to Z(y2) clears both obstructing coefficients at once.
-    That linear part b01*y1 + b02*y2 is nonzero: the tangent cone's x1-terms
-    are exactly x1*(b01*y1 + b02*y2), so b01 = b02 = 0 would violate
-    ConePullback at P, and the stability checks run only when no
-    semi-stability clause is violated.
+    Moved to the base point, f_t(p1, .) is the x0x1-conic, and the vanishing
+    Hessian forces the line annihilating its linear part b01*y1 + b02*y2 to be
+    a component of the fibre conic; aligning it to Z(y2) clears both
+    obstructing coefficients at once.  That linear part is nonzero: the
+    tangent cone's x1-terms are exactly x1*(b01*y1 + b02*y2), so
+    b01 = b02 = 0 would violate ConePullback at P, and the stability checks
+    run only when no semi-stability clause is violated.  The other x-variable
+    gives the same line or none, by Euler's relation
+    p1 . grad_x f(p1, .) = 2 f(p1, .), which is singular at p2.
     """
-    base = point_frame(P)
-    _A, B, _C = conic_coefficients(act(base, f))
-    row1 = (Fraction(0), B.coefficient((1, 0, 1)), -B.coefficient((1, 1, 0)))
-    g3 = _complete_basis3((Fraction(1), Fraction(0), Fraction(0)), row1)
-    return FrameChange(IDENTITY2, g3).compose(base)
+    p1, p2 = P
+    x_t = "x1" if not is_zero_scalar(p1[0]) else "x0"
+    return polar(conic_gram(restrict_x(f.partial(x_t), p1)), p2)
 
 
 def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
@@ -347,42 +357,29 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
         violated = ps.kind is PhiSigmaKind.CONSTANT and all(
             rec.local_type.is_a1 for rec in locus.isolated_points
             if _on_some_section(rec.point[1], (p2n,)))
-        checks.note(
-            f"section through {_fmt_coords(p2n)}", "ConstantTangentMap", violated,
-            lambda: FrameChange(IDENTITY2, _complete_basis3(
-                p2n, _point_on_line(ps.line, avoid=p2n))))
+        checks.note(f"section through {_fmt_coords(p2n)}", "ConstantTangentMap",
+                    violated, Flag(p=p2n, line=ps.line))
     # A non-A1 singular point on a contracted section.
     for rec in locus.isolated_points:
-        if not rec.local_type.is_a1 and _on_some_section(
-                rec.point[1], locus.section_points):
+        p1, p2 = rec.point
+        if not rec.local_type.is_a1 and _on_some_section(p2, locus.section_points):
             checks.note(_fmt_point(rec.point), "NonA1OnContractedSection", True,
-                        lambda: _non_a1_section_frame(f, rec.point))
+                        Flag((p1,), p2, _non_a1_section_line(f, rec.point)))
     # A non-A1 singular point with a non-reduced (double-line) fibre.
     for rec in locus.isolated_points:
+        p1, p2 = rec.point
         if not rec.local_type.is_a1 and rec.fibre_rank == 1:
             checks.note(_fmt_point(rec.point), "NonA1NonReducedFibre", True,
-                        lambda: normalize_frame(
-                            f, rec.point, line=_double_line_of(f, rec.point[0])))
+                        Flag((p1,), p2, _double_line_of(f, p1)))
 
 
 # ---------------------------------------------------------------------------
 # Reducible surfaces
 
 
-def _line_kernel_frame(ell) -> Tuple:
-    """3x3 rows sending the plane line with coefficient vector ell to Z(y2)."""
-    return _complete_basis3(*line_span(ell))
-
-
-def _x_root_rows(line_pair):
-    """2x2 rows whose first row is a root of the x-linear form (l0, l1)."""
-    l0, l1 = line_pair
-    return _complete_basis2((l1, -l0))
-
-
-def _x_line_coeffs(factor: BiPoly):
-    return (factor.coefficient((1, 0, 0, 0, 0)),
-            factor.coefficient((0, 1, 0, 0, 0)))
+def _x_root(factor: BiPoly):
+    """The root in P^1 of a form c0*x0 + c1*x1 of bidegree (1, 0)."""
+    return (factor.coefficient((0, 1, 0, 0, 0)), -factor.coefficient((1, 0, 0, 0, 0)))
 
 
 def _bilinear_lines(factor: BiPoly):
@@ -393,10 +390,9 @@ def _bilinear_lines(factor: BiPoly):
         for x in ((1, 0), (0, 1)))
 
 
-def _split_surface_frame(x_rows, conic) -> FrameChange:
-    """x_rows, and plane rows that start with a point p of the smooth conic
-    (over at most a quadratic extension) and a second point on its tangent
-    line at p."""
+def _tangent_flag(x, conic) -> Flag:
+    """x, a point p of the smooth conic on Z(y2) (over at most a quadratic
+    extension) and the conic's tangent line at p."""
     c00 = conic.coefficient((2, 0, 0))
     c01 = conic.coefficient((1, 1, 0))
     c11 = conic.coefficient((0, 2, 0))
@@ -404,8 +400,7 @@ def _split_surface_frame(x_rows, conic) -> FrameChange:
         raise ValueError("conic is singular along Z(y2)")
     r = BinForm(2, (c00, c01, c11)).roots()[0][0]
     p = (r[0], r[1], Fraction(0))
-    row1 = _point_on_line(polar(conic_gram(conic), p), avoid=p)
-    return FrameChange(x_rows, _complete_basis3(p, row1))
+    return Flag(x, p, polar(conic_gram(conic), p))
 
 
 def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
@@ -413,45 +408,40 @@ def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:
     each case is one violated clause."""
     if len(factors) < 2:
         raise ValueError("classify_reducible requires at least two factors")
-    subject, clause, frame = _reducible_case(f, factors)
+    subject, clause, flag = _reducible_case(f, factors)
     checks = _Checks(f)
-    checks.note(subject, clause, True, lambda: frame)
+    checks.note(subject, clause, True, flag)
     return checks.verdict()
 
 
-def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, FrameChange]:
-    """The subject, the clause and the witness frame of a reducible f."""
+def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
+    """The subject and the violated clause of a reducible f, and its flag."""
     bidegrees = sorted(bd for bd, _fac in factors)
 
     # A plane-line factor (0,1): always unstable.
     plane_lines = [fac for bd, fac in factors if bd == (0, 1)]
     if plane_lines:
         ell = y_linear_coeffs(plane_lines[0])
-        g3 = _line_kernel_frame(ell)
-        moved = act(FrameChange(IDENTITY2, g3), f)
-        q0 = BinForm(2, [
-            moved.coefficient((2 - i, i, 1, 0, 1)) for i in range(3)
-        ])
-        g2 = IDENTITY2 if q0.is_zero() else _complete_basis2(q0.roots()[0][0])
-        return "plane-line factor", "PlaneFactor", FrameChange(g2, g3)
+        v0, v1 = line_span(ell)
+        e = _complete_basis3(v0, v1)[2]
+        # the y0*y2 coefficients of f, with y0 at v0 and y2 at e
+        q0 = BinForm(2, [bilinear(conic_gram(q), v0, e) for q in conic_coefficients(f)])
+        x = () if q0.is_zero() else (q0.roots()[0][0],)
+        return "plane-line factor", "PlaneFactor", Flag(x, v0, ell)
 
     # (1,0) x (1,2): semi-stable iff the intersection conic is smooth.
     quadric = [fac for bd, fac in factors if bd == (1, 2)]
     if quadric:
-        line = next(fac for bd, fac in factors if bd == (1, 0))
-        lp = _x_line_coeffs(line)
-        p1root = (lp[1], -lp[0])
-        g0 = restrict_x(quadric[0], p1root)
-        x_rows = _x_root_rows(lp)
+        x = (_x_root(next(fac for bd, fac in factors if bd == (1, 0))),)
+        g0 = restrict_x(quadric[0], x[0])
         subject = "plane-fibre intersection conic"
         if matrix_rank(conic_gram(g0)) == 3:
-            return (subject, "SmoothIntersectionConic",
-                    _split_surface_frame(x_rows, g0))
+            return subject, "SmoothIntersectionConic", _tangent_flag(x, g0)
         lines = split_conic(g0)
         if lines is None:
             raise RuntimeError("singular conic failed to split")
         return (subject, "SingularIntersectionConic",
-                FrameChange(x_rows, _line_kernel_frame(lines[0])))
+                Flag(x, line_span(lines[0])[0], lines[0]))
 
     # (1,1) x (1,1): unstable iff the two ruled pieces share a fibre.
     bilinears = [fac for bd, fac in factors if bd == (1, 1)]
@@ -471,7 +461,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, FrameCh
             if all(is_zero_scalar(x) for x in ell):
                 ell = tuple(ustar[0] * c[i] + ustar[1] * d[i] for i in range(3))
             return ("two ruled pieces", "CommonFibre",
-                    FrameChange(_complete_basis2(ustar), _line_kernel_frame(ell)))
+                    Flag((ustar,), line_span(ell)[0], ell))
         p1pt = cross(a, b)
         if all(is_zero_scalar(x) for x in p1pt):
             raise RuntimeError("degenerate (1,1) factor")
@@ -481,25 +471,16 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, FrameCh
                 "shared contracted point without a shared fibre")
         ustar = (dp, -cp)
         la = tuple(ustar[0] * a[i] + ustar[1] * b[i] for i in range(3))
-        row1 = _point_on_line(la, avoid=p1pt)
-        return ("two ruled pieces", "DistinctFibres", FrameChange(
-            _complete_basis2(ustar), _complete_basis3(p1pt, row1)))
+        return "two ruled pieces", "DistinctFibres", Flag((ustar,), p1pt, la)
 
     # Two fibre planes and an irreducible conic cylinder.
     if bidegrees == [(0, 2), (1, 0), (1, 0)]:
-        l1, l2 = [
-            _x_line_coeffs(fac) for bd, fac in factors if bd == (1, 0)
-        ]
-        conic_factor = next(fac for bd, fac in factors if bd == (0, 2))
-        conic = conic_of(conic_factor)
-        if is_zero_scalar(l1[0] * l2[1] - l1[1] * l2[0]):
-            return ("repeated fibre plane", "NonReducedVerticalPart",
-                    FrameChange(_x_root_rows(l1), IDENTITY3))
-        x_rows = (_x_root_rows(l2)[0], _x_root_rows(l1)[0])
-        if is_zero_scalar(det2(x_rows)):
-            raise RuntimeError("fibre-plane roots coincide unexpectedly")
+        r1, r2 = [_x_root(fac) for bd, fac in factors if bd == (1, 0)]
+        if is_zero_scalar(det2((r1, r2))):
+            return "repeated fibre plane", "NonReducedVerticalPart", Flag((r1,))
+        conic = conic_of(next(fac for bd, fac in factors if bd == (0, 2)))
         return ("fibre planes and conic cylinder", "IrreducibleConicCylinder",
-                _split_surface_frame(x_rows, conic))
+                _tangent_flag((r2, r1), conic))
 
     raise RuntimeError(f"unhandled factor bidegrees: {bidegrees}")
 

@@ -52,14 +52,20 @@ Point = Tuple[Tuple[object, object], Tuple[object, object, object]]
 # Charts and tangent cones
 
 
+def completed_rows(v) -> Tuple:
+    """v followed by the coordinate vectors other than the one at v's first
+    nonzero entry: the rows of a matrix that sends v to [1,0,...,0]."""
+    pivot = next((i for i, c in enumerate(v) if not is_zero_scalar(c)), None)
+    if pivot is None:
+        raise ValueError("zero coordinate vector")
+    n = len(v)
+    return (tuple(v),) + tuple(tuple(int(j == i) for j in range(n)) for i in range(n) if i != pivot)
+
+
 def point_frame(P: Point) -> FrameChange:
     """A frame moving P to [1,0] x [1,0,0]: the first row of each matrix is
     the normalized point, the others are coordinate vectors completing it."""
-    p1, p2 = (normalize_projective(p) for p in P)
-    x_rows = (p1, (0, 1) if not is_zero_scalar(p1[0]) else (1, 0))
-    pivot = next(i for i in range(3) if not is_zero_scalar(p2[i]))
-    y_rows = (p2,) + tuple(tuple(int(j == i) for j in range(3)) for i in range(3) if i != pivot)
-    return FrameChange(x_rows, y_rows)
+    return FrameChange(*(completed_rows(normalize_projective(p)) for p in P))
 
 
 def chart_local(f: BiPoly, P: Point) -> AffinePoly:

@@ -11,6 +11,7 @@ from biquadric.classifier import (
     _on_some_section,
     CLAUSES,
     Certificate,
+    Flag,
     MuSign,
     StabilityClass,
     classify,
@@ -118,6 +119,40 @@ def test_every_clause_decides_a_golden_verdict():
         assert classes == {sign_class[CLAUSES[clause][1]]}, clause
 
 
+def _flag_move(rng, rows):
+    """Each row k becomes c*row k, c != 0, plus a combination of the rows
+    before it: a new frame that sends the same flag to the standard one."""
+    out = []
+    for k, row in enumerate(rows):
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        moved = [c * v for v in row]
+        for earlier in rows[:k]:
+            a = rng.randint(-3, 3)
+            moved = [m + a * v for m, v in zip(moved, earlier)]
+        out.append(tuple(moved))
+    return tuple(out)
+
+
+def test_certificate_depends_only_on_its_flag():
+    # A normalized weight is non-decreasing along each row, so a flag move
+    # adds to each variable only variables of weight at least its own and
+    # keeps the lowest-weight part of g.f up to scalars: the sign of mu is a
+    # function of the flag, and any frame of the same flag certifies as well.
+    rng = random.Random(13)
+    first = {}
+    for entry in json.loads(CORPUS_PATH.read_text()):
+        if entry["exit"] == 0 and entry["violated"]:
+            first.setdefault(entry["violated"][0], entry)
+    assert set(first) == set(CLAUSES)
+    for clause, entry in first.items():
+        f = parse(entry["text"])
+        cert = classify(f).certificate
+        for _ in range(3):
+            frame = FrameChange(_flag_move(rng, cert.frame.g2), _flag_move(rng, cert.frame.g3))
+            assert frame != cert.frame
+            assert replace(cert, frame=frame).verify(f), clause
+
+
 def test_only_the_first_violation_builds_a_certificate(monkeypatch):
     # sparse:22 violates ConePullback and then
     # RamifiedComponentWithContractedSection, both framed by normalize_frame.
@@ -180,34 +215,57 @@ class TestCertificateSoundness:
         assert not cert.verify(smooth)
 
 
+# the base point [1,0] x [1,0,0]
+BASE_X, BASE_P = ((Fraction(1), Fraction(0)),), (Fraction(1), Fraction(0), Fraction(0))
+
+
 class TestNormalizeFrame:
     def test_moves_point_to_origin(self, fixtures):
         f = fixtures["stable_higher_sing"]
-        P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
-        frame = normalize_frame(f, P)
+        frame = normalize_frame(f, Flag(BASE_X, BASE_P))
         moved = act(frame, f)
         assert moved.evaluate((1, 0), (1, 0, 0)) == 0
 
     def test_tangent_line_lands_on_coordinate_line(self, fixtures):
         f = fixtures["constant_tangent"]
-        P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
         line = (Fraction(0), Fraction(0), Fraction(1))  # Z(y2) through [1,0,0]
-        frame = normalize_frame(f, P, line=line)
+        frame = normalize_frame(f, Flag(BASE_X, BASE_P, line))
         moved = act(frame, f)
         assert moved.evaluate((1, 0), (1, 0, 0)) == 0
 
     def test_point_off_surface_rejected(self):
         f = parse("x0^2*y0^2")
-        P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
         with pytest.raises(ValueError):
-            normalize_frame(f, P)
+            normalize_frame(f, Flag(BASE_X, BASE_P))
 
     def test_line_missing_point_rejected(self, fixtures):
         f = fixtures["constant_tangent"]
-        P = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
         line = (Fraction(1), Fraction(0), Fraction(0))  # Z(y0) misses [1,0,0]
         with pytest.raises(ValueError):
-            normalize_frame(f, P, line=line)
+            normalize_frame(f, Flag(BASE_X, BASE_P, line))
+
+    @pytest.mark.parametrize("flag", [
+        Flag(p=(2, 1, 0)),
+        Flag(p=(0, 3, 1), line=(1, 0, 0)),
+        Flag(((0, 2), (3, 1)), (2, 0, 0), (0, 0, 1)),
+        Flag(((3, -1),)),
+        Flag(((0, 2),), (0, 3, 1)),
+        Flag(((5, 0),), (1, 1, 1), (1, -1, 0)),
+    ], ids=["point", "point-and-line", "two-x-points", "x-point-only",
+            "x-point-and-point", "x-point-point-and-line"])
+    def test_frame_sends_the_flag_to_the_standard_flag(self, fixtures, flag):
+        # The x-rows start with the flag's x-points, the first y-row is p and
+        # the second lies on the line; what the flag leaves out is the identity.
+        frame = normalize_frame(fixtures["split_cylinder"], flag)
+        assert frame.g2[:len(flag.x)] == flag.x
+        if not flag.x:
+            assert frame.g2 == ((1, 0), (0, 1))
+        if flag.p is None:
+            assert frame.g3 == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        else:
+            assert frame.g3[0] == flag.p
+        if flag.line is not None:
+            assert sum(a * b for a, b in zip(flag.line, frame.g3[1])) == 0
 
 
 class TestLocalGeometryComputedOnce:

@@ -11,7 +11,7 @@ import json
 
 from biquadric.bipoly import parse
 from biquadric.cli import cert_from_json
-from make_golden import CORPUS_PATH, run_classify, summary
+from make_golden import CORPUS_PATH, corpus_inputs, run_classify, summary
 
 
 def _newly_supported(text: str, stdout: str) -> bool:
@@ -40,3 +40,10 @@ def test_golden_corpus_replays():
         was = {k: entry.get(k) for k in ("exit", "class", "stratum", "violated")}
         changed.append(f"{entry['name']}: was {was}, now {now}")
     assert not changed, "\n".join(changed)
+
+
+def test_corpus_inputs_are_the_committed_ones():
+    # Re-recording the corpus replays the committed inputs, so a rebuilt
+    # corpus differs from the committed one only where the output changed.
+    entries = json.loads(CORPUS_PATH.read_text())
+    assert corpus_inputs() == [(e["name"], e["text"]) for e in entries]

@@ -102,3 +102,33 @@ def test_every_src_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{name}" for name in imported if name not in used]
     assert unused == []
+
+
+def _callers(tree, names):
+    """For each name, the dotted names of the functions (or classes) whose own
+    bodies call it; a call outside any definition counts as '<module>'."""
+    found = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id in found:
+                found[child.func.id].add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_classifier_builds_every_certificate_frame_in_one_place():
+    # Each clause names its witness as a Flag, and normalize_frame alone turns
+    # a flag into a frame; the random search draws its own frames, and act
+    # runs only to verify a certificate.
+    tree = ast.parse((ROOT / "src" / "biquadric" / "classifier.py").read_text())
+    callers = _callers(tree, ("FrameChange", "act", "point_frame"))
+    assert callers["FrameChange"] == {"normalize_frame", "random_destabilize_search"}
+    assert callers["act"] == {"Certificate.verify"}
+    assert callers["point_frame"] <= {"normalize_frame"}
