@@ -3,11 +3,13 @@
 Rationals are plain ``fractions.Fraction``.  Univariate polynomials are dense
 coefficient lists over a field (rationals or a number field).  Number field
 elements are residues modulo a monic irreducible rational polynomial of degree
-at most 6; all arithmetic is exact.
+at most 6, held as integers over one denominator; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
@@ -194,22 +196,6 @@ def uv_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def uv_xgcd(a: UniPoly, b: UniPoly):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = UniPoly([1]), UniPoly()
-    v0, v1 = UniPoly(), UniPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    inv = scalar_inv(r0.leading())
-    return r0.monic(), u0 * inv, v0 * inv
-
-
 def _to_sympy(p: UniPoly):
     import sympy  # on first use: importing it costs more than most runs
 
@@ -249,78 +235,123 @@ def squarefree_part(c: Fraction) -> int:
     return n
 
 
+class _Field:
+    """Q[t]/(m) as the arithmetic needs it.  `table` holds t^k mod m for
+    k = d .. 2d-2 as integer rows over the one denominator `scale`, so a
+    product of two residues folds its high coefficients in integers."""
+
+    __slots__ = ("modulus", "degree", "table", "scale")
+
+    def __init__(self, modulus: Tuple[Fraction, ...]):
+        d = len(modulus) - 1
+        if d < 1 or d > MODULUS_DEGREE_CAP:
+            raise ValueError(f"modulus degree {d} out of range")
+        if modulus[-1] != 1:
+            raise ValueError("modulus must be monic")
+        # t^d = -(m_0 + ... + m_{d-1} t^{d-1}); t^(k+1) is t^k shifted, its
+        # t^d term folded back the same way
+        rows, row = [], [-c for c in modulus[:-1]]
+        for _ in range(d - 1):
+            rows.append(row)
+            row = [(row[j - 1] if j else 0) - row[-1] * modulus[j] for j in range(d)]
+        self.scale = math.lcm(*(c.denominator for r in rows for c in r))
+        self.table = tuple(tuple(int(c * self.scale) for c in r) for r in rows)
+        self.modulus, self.degree = modulus, d
+
+
+_field = functools.lru_cache(maxsize=64)(_Field)
+
+
+def _element(field: _Field, num: List[int], den: int) -> "NumberFieldElement":
+    """The element num/den of field, den > 0, made canonical: no trailing
+    zeros, gcd(den, *num) = 1, so den = 1 for zero."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num)
+    e = object.__new__(NumberFieldElement)
+    e.field = field
+    e.num, e.den = (tuple(num), den) if g == 1 else (tuple(n // g for n in num), den // g)
+    return e
+
+
+def _fold(field: _Field, c) -> List[int]:
+    """scale * (c mod m) as d integers, c an integer polynomial of degree at
+    most 2d - 2."""
+    d, scale = field.degree, field.scale
+    low = [x * scale for x in c[:d]] + [0] * (d - len(c))
+    for h, row in zip(c[d:], field.table):
+        if h:
+            for i, r in enumerate(row):
+                low[i] += h * r
+    return low
+
+
 class NumberFieldElement:
     """Residue modulo a monic irreducible rational polynomial m(t), deg <= 6.
 
-    The modulus is carried with every element; mixing elements of distinct
-    fields is an error (no composite fields are ever constructed).
+    An element is an integer numerator tuple `num` over a positive integer
+    `den`, kept canonical, so equal elements have equal parts.  The field is
+    carried with every element; mixing elements of distinct fields is an
+    error (no composite fields are ever constructed).
     """
 
-    __slots__ = ("modulus", "residue")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, modulus, residue, *, _checked=False):
-        if isinstance(modulus, UniPoly):
-            modulus = tuple(as_fraction(c) for c in modulus.coeffs)
-        else:
-            modulus = tuple(as_fraction(c) for c in modulus)
-        if not _checked:
-            m = UniPoly(modulus)
-            if m.degree < 1 or m.degree > MODULUS_DEGREE_CAP:
-                raise ValueError(f"modulus degree {m.degree} out of range")
-            if m.leading() != 1:
-                raise ValueError("modulus must be monic")
-        self.modulus = modulus
-        if isinstance(residue, tuple):
-            while residue and not residue[-1]:
-                residue = residue[:-1]
-            if len(residue) < len(modulus) or not residue:
-                self.residue = residue
-                return
-            res = UniPoly(residue)
-        elif isinstance(residue, UniPoly):
-            res = residue
-        else:
-            res = UniPoly(residue)
-        if res.degree >= len(modulus) - 1:
-            res = res % UniPoly(modulus)
-        self.residue = tuple(res.coeffs)
+    def __init__(self, modulus, residue):
+        mod = modulus if isinstance(modulus, UniPoly) else UniPoly(modulus)
+        field = _field(tuple(as_fraction(c) for c in mod.coeffs))
+        res = residue if isinstance(residue, UniPoly) else UniPoly(residue)
+        if res.degree >= field.degree:
+            res = res % UniPoly(field.modulus)
+        coeffs = [as_fraction(c) for c in res.coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        e = _element(field, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        self.field, self.num, self.den = field, e.num, e.den
 
     @classmethod
     def from_rational(cls, modulus, c) -> "NumberFieldElement":
-        return cls(modulus, UniPoly([as_fraction(c)]), _checked=True)
+        c = as_fraction(c)
+        field = _field(tuple(as_fraction(m) for m in modulus))
+        return _element(field, [c.numerator], c.denominator)
 
-    def _same_field(self, other: "NumberFieldElement"):
-        if self.modulus != other.modulus:
-            raise ValueError("number field modulus mismatch")
+    @property
+    def modulus(self) -> Tuple[Fraction, ...]:
+        return self.field.modulus
+
+    @property
+    def residue(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def _lift(self, other):
         if isinstance(other, NumberFieldElement):
-            self._same_field(other)
+            if other.field is not self.field and other.modulus != self.modulus:
+                raise ValueError("number field modulus mismatch")
             return other
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElement.from_rational(self.modulus, other)
+            return _element(self.field, [other.numerator], other.denominator)
         return None
 
     def is_zero(self) -> bool:
-        return not self.residue
+        return not self.num
 
     def is_rational(self) -> bool:
-        return len(self.residue) <= 1
+        return len(self.num) <= 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.residue[0] if self.residue else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = NumberFieldElement.from_rational(self.modulus, other)
+            return self.is_rational() and self.as_fraction() == other
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
-        return self.modulus == other.modulus and self.residue == other.residue
+        return self.num == other.num and self.den == other.den and (
+            self.field is other.field or self.modulus == other.modulus)
 
     def __hash__(self):
         if self.is_rational():
@@ -331,16 +362,17 @@ class NumberFieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.residue, o.residue
+        a, b, den = self.num, o.num, self.den
+        if o.den != den:
+            a, b, den = [x * o.den for x in a], [y * den for y in b], den * o.den
         if len(a) < len(b):
             a, b = b, a
-        summed = tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        return NumberFieldElement(self.modulus, summed, _checked=True)
+        return _element(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.modulus, tuple(-c for c in self.residue), _checked=True)
+        return _element(self.field, [-n for n in self.num], self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -356,50 +388,51 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return NumberFieldElement(self.modulus, (), _checked=True)
-            return NumberFieldElement(
-                self.modulus, tuple(c * other for c in self.residue), _checked=True
-            )
+            return _element(self.field, [n * other.numerator for n in self.num],
+                            self.den * other.denominator)
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        m = self.modulus
-        if len(m) == 3:
-            # quadratic field: reduce t^2 = -m0 - m1 t directly (m is monic)
-            a, b = self.residue, o.residue
-            a0 = a[0] if a else Fraction(0)
-            a1 = a[1] if len(a) > 1 else Fraction(0)
-            b0 = b[0] if b else Fraction(0)
-            b1 = b[1] if len(b) > 1 else Fraction(0)
-            high = a1 * b1
-            if high:
-                res = (a0 * b0 - high * m[0], a0 * b1 + a1 * b0 - high * m[1])
-            else:
-                res = (a0 * b0, a0 * b1 + a1 * b0)
-            return NumberFieldElement(m, res, _checked=True)
-        prod = UniPoly(self.residue) * UniPoly(o.residue)
-        return NumberFieldElement(m, prod % UniPoly(m), _checked=True)
+        a, b, field = self.num, o.num, self.field
+        if not a or not b:
+            return _element(field, [], 1)
+        c = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+        den = self.den * o.den
+        if len(c) > field.degree:
+            c, den = _fold(field, c), den * field.scale
+        return _element(field, c, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
+        """x with num * x = den mod m, by Bareiss elimination over Z on the
+        columns scale * (num * t^j mod m): the solution of that system
+        against e0 is w / det with w integral (Cramer), and x is
+        scale * den * w / det."""
         if self.is_zero():
             raise ZeroDivisionError("number field division by zero")
-        m = self.modulus
-        if len(m) == 3:
-            # quadratic field: multiply by the conjugate over the norm
-            a = self.residue
-            a0 = a[0] if a else Fraction(0)
-            a1 = a[1] if len(a) > 1 else Fraction(0)
-            norm = a0 * a0 - a0 * a1 * m[1] + a1 * a1 * m[0]
-            return NumberFieldElement(
-                m, ((a0 - a1 * m[1]) / norm, -a1 / norm), _checked=True
-            )
-        g, u, _ = uv_xgcd(UniPoly(self.residue), UniPoly(self.modulus))
-        if g.degree != 0:
-            raise ValueError("modulus is not irreducible: gcd with residue nontrivial")
-        return NumberFieldElement(self.modulus, u * scalar_inv(g.leading()), _checked=True)
+        field, d = self.field, self.field.degree
+        cols = [_fold(field, [0] * j + list(self.num)) for j in range(d)]
+        a = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if a[i][k]), None)
+            if p is None:
+                raise ValueError("modulus is not irreducible: gcd with residue nontrivial")
+            a[k], a[p] = a[p], a[k]
+            pivot = a[k]
+            for row in a[k + 1:]:
+                row[k + 1:] = [(pivot[k] * row[j] - row[k] * pivot[j]) // prev
+                               for j in range(k + 1, d + 1)]
+            prev = pivot[k]
+        w = [0] * d
+        for i in reversed(range(d)):
+            w[i] = (prev * a[i][d] - sum(a[i][j] * w[j] for j in range(i + 1, d))) // a[i][i]
+        scale = field.scale * self.den * (1 if prev > 0 else -1)
+        return _element(field, [x * scale for x in w], abs(prev))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -416,7 +449,7 @@ class NumberFieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, NumberFieldElement.from_rational(self.modulus, 1))
+        return power(self, n, _element(self.field, [1], 1))
 
     def __repr__(self):
         res = UniPoly(self.residue)
@@ -446,9 +479,9 @@ def promote_pair(a, b):
             raise ValueError("cannot mix two distinct number fields")
         return a, b
     if a_nf:
-        return a, NumberFieldElement.from_rational(a.modulus, as_fraction(b))
+        return a, a._lift(as_fraction(b))
     if b_nf:
-        return NumberFieldElement.from_rational(b.modulus, as_fraction(a)), b
+        return b._lift(as_fraction(a)), b
     return as_fraction(a), as_fraction(b)
 
 

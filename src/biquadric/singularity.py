@@ -375,13 +375,14 @@ def _make_record(f: BiPoly, P: Point, cutoff: int, pencil) -> SingularPointRecor
 
 def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
     m = pencil.evaluate(p1pt)
-    rank = matrix_rank(m)
+    kernel = matrix_kernel(m)  # one row reduction gives the rank too
+    rank = 3 - len(kernel)
     points: List[Point] = []
     components: List[CurveComponent] = []
     if rank == 3:
         return points, components
     if rank == 2:
-        vertex = normalize_projective(matrix_kernel(m)[0])
+        vertex = normalize_projective(kernel[0])
         if all(
             is_zero_scalar(g.evaluate(p1pt, vertex)) for g in (fx0, fx1)
         ):
@@ -394,7 +395,7 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
             if any(not is_zero_scalar(c) for c in row):
                 line = normalize_projective(row)
                 break
-        v1, v2 = matrix_kernel(m)
+        v1, v2 = kernel
         q0, q1 = (_restricted_to_line(restrict_x(g, p1pt), v1, v2) for g in (fx0, fx1))
         if q0.is_zero() and q1.is_zero():
             components.append(FibreLine(p1pt, line))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,91 @@ class TestFormatting:
         t = generator(-2, 0, 1)
         x = t * Fraction(3, 2) + 5
         assert parse_scalar(format_scalar(x)) == x
+
+
+def _xgcd(a: UniPoly, b: UniPoly):
+    """Extended Euclid over Fraction: (g, u, v) with u*a + v*b = g, g monic."""
+    r0, r1 = a, b
+    u0, u1 = UniPoly([1]), UniPoly()
+    v0, v1 = UniPoly(), UniPoly([1])
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        return r0, u0, v0
+    inv = scalar_inv(r0.leading())
+    return r0.monic(), u0 * inv, v0 * inv
+
+
+def _shifted_eisenstein(rng, d):
+    """A monic irreducible of degree d with non-integral coefficients: an
+    Eisenstein polynomial at p, moved by t -> t + a/b with b coprime to d."""
+    p = rng.choice((2, 3, 5))
+    coeffs = [p * rng.choice((1, -1, p + 1))] + [p * rng.randint(-2, 2) for _ in range(d - 1)]
+    shift = P(Fraction(rng.choice((1, -2, 3)), rng.choice((7, 11))), 1)
+    m = P()
+    for i, c in enumerate(coeffs + [1]):
+        m = m + (shift ** i) * c
+    return m
+
+
+def _residue(rng, d):
+    return P(*(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, d))))
+
+
+class TestNumberFieldKernel:
+    """The integer kernel against UniPoly arithmetic over Fraction modulo m."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_against_fraction_reference(self, d):
+        rng = random.Random(f"kernel/{d}")
+        for _ in range(3):
+            m = _shifted_eisenstein(rng, d)
+            assert any(c.denominator > 1 for c in m.coeffs)
+            residues = [_residue(rng, d) for _ in range(8)]
+            elements = [NumberFieldElement(m, r) for r in residues]
+            for ra, a in zip(residues, elements):
+                assert a.residue == ra.coeffs
+                assert parse_scalar(format_scalar(a)) == a
+                if a.is_rational():
+                    assert hash(a) == hash(a.as_fraction())
+                if a.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        a.inverse()
+                    continue
+                g, u, _ = _xgcd(ra, m)
+                assert g == P(1)
+                assert a.inverse().residue == (u % m).coeffs
+                assert a * a.inverse() == 1
+                for rb, b in zip(residues, elements):
+                    assert (a + b).residue == ((ra + rb) % m).coeffs
+                    assert (a - b).residue == ((ra - rb) % m).coeffs
+                    assert (a * b).residue == ((ra * rb) % m).coeffs
+                    assert NumberFieldElement(m, ra * rb) == a * b
+                    assert (a == b) == (ra == rb)
+                    assert (a == b) <= (hash(a) == hash(b))
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                assert (a * c).residue == (ra * c).coeffs
+                assert (c - a).residue == (P(c) - ra).coeffs
+
+    def test_field_rebuilt_after_eviction(self):
+        # the per-field tables are cached with a bound; an element of a field
+        # whose table was dropped still mixes with one built afterwards
+        m = _shifted_eisenstein(random.Random("evict"), 3)
+        a = NumberFieldElement(m, P(1, 2))
+        for k in range(200):
+            NumberFieldElement(P(-k - 2, 0, 1), P(0, 1))
+        b = NumberFieldElement(m, P(1, 2))
+        assert a == b and hash(a) == hash(b)
+        assert (a * b).residue == ((P(1, 2) * P(1, 2)) % m).coeffs
+
+    @pytest.mark.parametrize("modulus, residue", [
+        ((-1, 0, 1), (-1, 1)),  # t - 1 in Q[t]/(t^2 - 1)
+        ((0, -1, 0, 1), (0, 1)),  # t in Q[t]/(t^3 - t)
+    ])
+    def test_zero_divisor_inverse_raises_value_error(self, modulus, residue):
+        # a reducible modulus is refused the same way at every degree
+        with pytest.raises(ValueError):
+            NumberFieldElement(P(*modulus), P(*residue)).inverse()
