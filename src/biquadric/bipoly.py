@@ -170,13 +170,15 @@ class AffinePoly:
         powers: dict = {}
         result = AffinePoly(self.vars)
         for e, c in self.terms.items():
-            term = AffinePoly.constant(self.vars, c)
+            term = None
             for i, k in enumerate(e):
                 if k:
                     if (i, k) not in powers:
                         powers[i, k] = polys[i] ** k
-                    term = term * powers[i, k]
-            result = result + term
+                    term = powers[i, k] if term is None else term * powers[i, k]
+            # every term is added into the one result dict
+            for key, value in (term.terms.items() if term is not None else [(e, 1)]):
+                _add_into(result.terms, key, c * value)
         return result
 
     def evaluate(self, point: Sequence):
@@ -384,17 +386,17 @@ class _Parser:
     def parse_sum(self) -> AffinePoly:
         if self._peek() == "+":
             self.pos += 1
-        acc = self.parse_product()
+        acc = AffinePoly(ALL_VARS)
+        sign = 1
         while True:
+            # each summand is added into the one dict, not into a copy of it
+            for e, c in self.parse_product().terms.items():
+                _add_into(acc.terms, e, c if sign > 0 else -c)
             ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.parse_product()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self.parse_product()
-            else:
+            if ch not in ("+", "-"):
                 return acc
+            self.pos += 1
+            sign = 1 if ch == "+" else -1
 
     def _check_degree(self, degree: int):
         """Refuse a product of non-constant factors above degree 4 before
@@ -578,7 +580,7 @@ def inv3(m):
     return tuple(tuple(c * di for c in row) for row in adj)
 
 
-def _linear_image(g, exps) -> dict:
+def linear_image(g, exps) -> dict:
     """Terms of the product over k of (sum_i g[i][k] v_i) ** exps[k]."""
     out = {(0,) * len(g): 1}
     for k, e in enumerate(exps):
@@ -607,10 +609,10 @@ def moved_terms(g2, g3, terms: Mapping[BiMonomial, object]) -> dict:
         moved_y: dict = {}
         for yb, c in y_form:
             if yb not in y_images:
-                y_images[yb] = _linear_image(g3, yb)
+                y_images[yb] = linear_image(g3, yb)
             for ye, v in y_images[yb].items():
                 moved_y[ye] = moved_y.get(ye, 0) + c * v
-        for xe, u in _linear_image(g2, xa).items():
+        for xe, u in linear_image(g2, xa).items():
             for ye, v in moved_y.items():
                 key = xe + ye
                 out[key] = out.get(key, 0) + u * v

@@ -12,6 +12,7 @@ internal error included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -372,7 +373,10 @@ def _cmd_verify_cert(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing does not change it, and building it costs more than most calls."""
     top = argparse.ArgumentParser(
         prog="biquadric",
         description="Exact stability analysis of bidegree-(2,2) surfaces in P1 x P2.",
@@ -410,9 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

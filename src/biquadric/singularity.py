@@ -3,8 +3,10 @@
 Singular points are found through the fibre Gram pencil: every singular point
 of the surface sits over a root of the discriminant sextic, at the vertex (or
 on the vertex line) of its singular fibre conic.  Local germs are classified
-by the rank of the tangent cone and the dimension of the local algebra
-O/(f, grad f) computed by truncated linear algebra.
+by the rank of the tangent cone: rank 3 is A1, a corank-1 germ is A_n with n
+read off by the splitting lemma (see classify_local), and a germ of corank 2
+or more is decided by the dimension of the local algebra O/(f, grad f),
+computed by truncated linear algebra.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .bipoly import (
     adjugate3,
     det3,
     is_scalar_multiple,
+    linear_image,
 )
 from .factorizer import bihomogeneous_factor
 from .fibration import (
@@ -148,6 +151,13 @@ def _shifted_row(g: AffinePoly, m, k):
     return {tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms.items() if sum(e) + sum(m) < k}
 
 
+def _check_germ(local: AffinePoly, cutoff: int) -> None:
+    if cutoff < 2:
+        raise ValueError("a cutoff below 2 compares no two truncation levels")
+    if not local.degree_part(0).is_zero() or not local.degree_part(1).is_zero():
+        raise ValueError("the origin is not a singular point")
+
+
 def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
     """Dimension of O/(f, grad f) at the origin by truncated elimination.
 
@@ -160,10 +170,7 @@ def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
     exactly the pivot rows led below k, so the rank at level k is the number
     of pivots of degree < k once all rows of minimal degree < k are inserted.
     """
-    if cutoff < 2:
-        raise ValueError("a cutoff below 2 compares no two truncation levels")
-    if not f_affine.degree_part(0).is_zero() or not f_affine.degree_part(1).is_zero():
-        raise ValueError("the origin is not a singular point")
+    _check_germ(f_affine, cutoff)
     gens = [f_affine] + [f_affine.partial(v) for v in f_affine.vars]
     nvars = len(f_affine.vars)
     kmax = cutoff + 1
@@ -221,18 +228,60 @@ class LocalType:
         return self.kind == "An" and self.n == 1
 
 
+def _splitting_type(local: AffinePoly, gram, cutoff: int) -> LocalType:
+    """A corank-1 germ's type by the splitting lemma (see classify_local)."""
+    _check_germ(local, cutoff)
+    # coordinates (w, u, v) with the cone's kernel as the w-axis
+    rows = completed_rows(matrix_kernel(gram)[0])
+    terms: dict = {}
+    for e, c in local.terms.items():
+        for m, x in linear_image(rows, e).items():
+            terms[m] = terms.get(m, 0) + c * x
+    f = AffinePoly(("w", "u", "v"), terms)
+    grad = (f.partial("u"), f.partial("v"))
+    a, b, d = (f.coefficient(e) for e in ((0, 2, 0), (0, 1, 1), (0, 0, 2)))
+    inv = scalar_inv(4 * a * d - b * b)
+    step = ((2 * d * inv, -b * inv), (-b * inv, 2 * a * inv))  # the inverse (u, v) Hessian
+    # The critical locus grad_(u,v) f = 0 is O(w^2) and each chord step
+    # with the constant Hessian gains one order; an error O(w^m) in it
+    # moves f on it only by O(w^2m), since the (u, v)-gradient vanishes there.
+    u = v = AffinePoly(f.vars)
+    order = 2  # u(w) and v(w) are exact mod w^order
+    while True:
+        top = min(2 * order, cutoff + 2)
+        g = f.substitute({"u": u, "v": v})
+        n = min((e[0] for e in g.terms if e[0] < top), default=None)
+        if n is not None:
+            return LocalType("An", n - 1)
+        if top == cutoff + 2:
+            return LocalType("NonIsolatedSuspected", cutoff=cutoff)
+        order += 1
+        fu, fv = (p.substitute({"u": u, "v": v}) for p in grad)
+        u, v = (x - fu * s - fv * t for x, (s, t) in zip((u, v), step))
+        u, v = (AffinePoly(f.vars, {e: c for e, c in x.terms.items() if e[0] < order}) for x in (u, v))
+
+
 def classify_local(local: AffinePoly, cutoff: int = 10) -> LocalType:
     """The germ's type from the rank of its tangent cone, a ternary quadratic
-    form: rank 3 is A1, and an isolated germ of rank 2 (corank 1) is A_n with
-    n the dimension of its local algebra."""
-    rank = matrix_rank(conic_gram(local.degree_part(2)))
+    form.  Rank 3 is A1.  At rank 2 (corank 1) the splitting lemma makes f
+    right-equivalent to q(u, v) + g(w), g being f on its critical locus in the
+    cone's nondegenerate directions, so the germ is A_n with n = ord g - 1
+    (Greuel, Lossen and Shustin, Introduction to Singularities and
+    Deformations, Thm I.2.47; Arnold, Gusein-Zade and Varchenko I, section
+    11).  There `cutoff` is the series order: g is computed mod w^(cutoff + 2),
+    and g = 0 there is NonIsolatedSuspected(cutoff).  At rank <= 1 the local
+    algebra must stabilize by truncation degree cutoff + 1 (OtherIsolated) or
+    the germ is NonIsolatedSuspected(cutoff).  The two bounds agree: an A_n
+    germ's local algebra stabilizes at degree n + 1, so A_n needs n <= cutoff.
+    """
+    gram = conic_gram(local.degree_part(2))
+    rank = matrix_rank(gram)
     if rank == 3:
         return LocalType("An", 1)
-    alg = local_algebra_dim(local, cutoff)
-    if not alg.stabilized:
-        return LocalType("NonIsolatedSuspected", cutoff=cutoff)
     if rank == 2:
-        return LocalType("An", alg.value)
+        return _splitting_type(local, gram, cutoff)
+    if not local_algebra_dim(local, cutoff).stabilized:
+        return LocalType("NonIsolatedSuspected", cutoff=cutoff)
     return LocalType("OtherIsolated")
 
 

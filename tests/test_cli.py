@@ -1,9 +1,13 @@
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from biquadric import cli
 from conftest import FIXTURES
 
 CMD = [sys.executable, "-m", "biquadric.cli"]
@@ -230,3 +234,47 @@ class TestExitCodes:
         assert out.returncode == code
         assert "Traceback" not in out.stderr
         assert err in out.stderr
+
+
+def run_in_process(*args):
+    """(exit code, stdout, stderr) of one in-process ``cli.run`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """The argument parser is built once per process and parsing leaves it
+    as it was, so every call behaves as a call in a fresh process."""
+
+    def test_built_once_for_fifty_calls(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        for k in range(50):
+            assert run_in_process("mu", f"--weight=-1,1;-{k},0,{k}", "x1^2*y2^2")[0] == 0
+        assert built.count("biquadric") == 1
+
+    def test_argument_error_leaves_no_trace(self):
+        bad = ("singular-locus", "--cutoff=x", TWO_A3)
+        good = ("singular-locus", "--cutoff=3", TWO_A3)
+        alone = []
+        for args in (bad, good):
+            cli._parser.cache_clear()
+            alone.append(run_in_process(*args))
+        cli._parser.cache_clear()
+        assert [run_in_process(*bad), run_in_process(*good)] == alone
+        assert alone[0][0] == 2 and "invalid int value" in alone[0][2]
+        assert alone[1][0] == 0
+
+    def test_help_exits_zero(self):
+        for _ in range(2):
+            code, out, _err = run_in_process("--help")
+            assert code == 0 and out.startswith("usage: biquadric")

@@ -1,15 +1,17 @@
+import json
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 
 from biquadric import singularity
-from biquadric.bipoly import AffinePoly, act, adjugate3, parse
+from biquadric.bipoly import AffinePoly, act, adjugate3, det3, parse
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
     binform_gcd,
+    conic_gram,
     contracted_sections,
     discriminant,
     fibre_matrix,
@@ -18,7 +20,7 @@ from biquadric.fibration import (
     polar_rows,
     proportional,
 )
-from biquadric.scalars import is_zero_scalar
+from biquadric.scalars import NumberFieldElement, is_zero_scalar
 from biquadric.singularity import (
     CHART_VARS,
     FibreConic,
@@ -34,7 +36,8 @@ from biquadric.singularity import (
     singular_locus,
     tangent_cone,
 )
-from conftest import random_poly, random_unimodular
+from conftest import FIXTURES, random_poly, random_unimodular
+from make_golden import CORPUS_PATH
 
 ORIGIN = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
 
@@ -358,3 +361,112 @@ class TestCoefficientRegimes:
         for cutoff in (1, 0, -3):
             with pytest.raises(ValueError):
                 local_algebra_dim(local, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# Corank-1 germs: the splitting lemma against the truncated local algebra
+
+
+def _algebra_type(local, cutoff):
+    """The label the truncated local algebra gives: what every germ got before
+    corank-1 germs went through the splitting lemma."""
+    rank = matrix_rank(conic_gram(local.degree_part(2)))
+    if rank == 3:
+        return "A1"
+    alg = local_algebra_dim(local, cutoff)
+    if not alg.stabilized:
+        return f"NonIsolatedSuspected({cutoff})"
+    return f"A{alg.value}" if rank == 2 else "OtherIsolated"
+
+
+def _corank_one_germs(forms):
+    germs = []
+    for f in forms:
+        try:
+            locus = singular_locus(f, cutoff=2)
+        except (ValueError, NotImplementedError):  # recorded exit-3 inputs
+            continue
+        for record in locus.isolated_points:
+            local = chart_local(f, record.point)
+            if matrix_rank(conic_gram(local.degree_part(2))) == 2:
+                germs.append(local)
+    return germs
+
+
+@lru_cache(maxsize=None)
+def _golden_germs():
+    return tuple(_corank_one_germs(parse(e["text"]) for e in json.loads(CORPUS_PATH.read_text())))
+
+
+def _shifted_family(n, cutoff, rng, scalars):
+    """The (cutoff + 1)-jet of q(U, V) + w^(n+1) + h(U, V, w) in chart
+    coordinates moved by a random rational frame, with q a nondegenerate
+    binary quadric, U = u + a w^2, V = v + b w^3 and h of weighted degree
+    above 1 (u and v of weight 1/2, w of weight 1/(n+1)).  The germ is A_n,
+    with a curved critical locus on which f cancels below w^(n+1); A_n is
+    (n + 1)-determined, and both classifications read only the
+    (cutoff + 1)-jet, so the label is A_n for n <= cutoff and
+    NonIsolatedSuspected(cutoff) above."""
+    w, u, v = (AffinePoly.variable(CHART_VARS, x) for x in CHART_VARS)
+    c = lambda: scalars[rng.randrange(len(scalars))]  # noqa: E731
+    big_u, big_v = u + c() * w ** 2, v + c() * w ** 3
+    while True:
+        q = [c(), c(), c()]
+        if not is_zero_scalar(4 * q[0] * q[2] - q[1] * q[1]):
+            break
+    f = (q[0] * big_u ** 2 + q[1] * big_u * big_v + q[2] * big_v ** 2 + c() * w ** (n + 1)
+         + c() * big_u * big_v * w + c() * big_u * w ** ((n + 1) // 2 + 1) + c() * w ** (n + 2))
+    while True:
+        frame = [[Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
+        if not is_zero_scalar(det3(frame)):
+            break
+    moved = f.substitute({x: sum((frame[i][j] * (w, u, v)[j] for j in range(3)), AffinePoly(CHART_VARS))
+                          for i, x in enumerate(CHART_VARS)})
+    return AffinePoly(CHART_VARS, {e: x for e, x in moved.terms.items() if sum(e) <= cutoff + 1})
+
+
+def _expected(n, cutoff):
+    return f"A{n}" if n <= cutoff else f"NonIsolatedSuspected({cutoff})"
+
+
+class TestSplittingLemma:
+    """Every corank-1 germ's splitting-lemma type equals the truncated local
+    algebra's, on both sides of the NonIsolatedSuspected(cutoff) boundary."""
+
+    @pytest.mark.parametrize("cutoff", [10, 3])
+    def test_golden_corpus_points(self, cutoff):
+        germs = _golden_germs()
+        labels = [classify_local(g, cutoff).label for g in germs]
+        assert labels == [_algebra_type(g, cutoff) for g in germs]
+        assert "A3" in labels and ("A5" if cutoff == 10 else "NonIsolatedSuspected(3)") in labels
+
+    def test_fixtures_under_frames(self):
+        rng = random.Random("splitting/fixtures")
+        forms = [act(random_unimodular(rng), parse(text))
+                 for text in FIXTURES.values() for _ in range(2)]
+        germs = _corank_one_germs(forms)
+        assert germs
+        for cutoff in (10, 3):
+            assert [classify_local(g, cutoff).label for g in germs] == \
+                [_algebra_type(g, cutoff) for g in germs]
+
+    @pytest.mark.parametrize("cutoff", range(2, 11))
+    def test_seeded_families_across_the_boundary(self, cutoff):
+        # The truncated local algebra of such a germ under a rational frame
+        # takes seconds from cutoff 5 on (47 s for an A10 germ at cutoff
+        # 10), so above cutoff 4 the construction alone is the reference.
+        rng = random.Random(f"splitting/{cutoff}")
+        scalars = [Fraction(k, d) for k in range(-3, 4) if k for d in (1, 2)]
+        for n in range(1, cutoff + 3):
+            f = _shifted_family(n, cutoff, rng, scalars)
+            assert classify_local(f, cutoff).label == _expected(n, cutoff)
+            if cutoff <= 4:
+                assert _algebra_type(f, cutoff) == _expected(n, cutoff)
+
+    def test_family_over_a_quadratic_field(self):
+        rng = random.Random("splitting/sqrt2")
+        sqrt2 = NumberFieldElement((-2, 0, 1), (0, 1))
+        scalars = [sqrt2 + k for k in (-1, 1, 2)] + [sqrt2 * k for k in (-1, 2)]
+        for n in range(1, 6):
+            f = _shifted_family(n, 3, rng, scalars)
+            assert classify_local(f, 3).label == _algebra_type(f, 3) == _expected(n, 3)

@@ -132,3 +132,22 @@ def test_classifier_builds_every_certificate_frame_in_one_place():
     assert callers["FrameChange"] == {"normalize_frame", "random_destabilize_search"}
     assert callers["act"] == {"Certificate.verify"}
     assert callers["point_frame"] <= {"normalize_frame"}
+
+
+def test_only_corank_two_germs_reach_the_local_algebra():
+    # A corank-1 germ's type comes from the splitting lemma; the truncated
+    # local algebra runs in classify_local only after the rank-3 and rank-2
+    # cases have returned.
+    callers = set()
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), ("local_algebra_dim",))["local_algebra_dim"]
+    assert callers == {"classify_local"}
+    tree = ast.parse((ROOT / "src" / "biquadric" / "singularity.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "classify_local").body
+    first_call = next(i for i, stmt in enumerate(body) if any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", None) == "local_algebra_dim"
+        for n in ast.walk(stmt)))
+    returned = {ast.unparse(stmt.test) for stmt in body[:first_call]
+                if isinstance(stmt, ast.If) and isinstance(stmt.body[-1], ast.Return)}
+    assert {"rank == 3", "rank == 2"} <= returned
