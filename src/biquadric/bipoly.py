@@ -13,6 +13,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .scalars import (
     NumberFieldElement,
+    as_fraction,
     as_scalar,
     format_scalar,
     is_zero_scalar,
@@ -42,8 +43,8 @@ class AffinePoly:
     """Sparse polynomial in a fixed tuple of named variables.
 
     Carries the terms of every BiPoly, and serves chart expansions, conic
-    restrictions and the local-ring linear algebra; coefficients are Fraction
-    or NumberFieldElement.
+    restrictions and the local-ring linear algebra; coefficients are rational
+    (see ``as_scalar``) or NumberFieldElement.
     """
 
     __slots__ = ("vars", "terms")
@@ -185,19 +186,17 @@ class AffinePoly:
         """Value at a point given by one scalar per variable, in order."""
         if len(point) != len(self.vars):
             raise ValueError("point arity mismatch")
-        acc = None
+        acc = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(point, e):
                 if k:
                     v = v * (x ** k)
-            acc = v if acc is None else acc + v
-        if acc is None:
-            return Fraction(0)
+            acc = acc + v
         return acc
 
     def coefficient(self, exps: Tuple[int, ...]):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def __repr__(self):
         if not self.terms:
@@ -371,6 +370,12 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def _digits(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return self.text[start : self.pos]
+
     def _expect(self, ch):
         if self._peek() != ch:
             raise ParseError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
@@ -381,6 +386,8 @@ class _Parser:
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"trailing input at position {self.pos} in {self.text!r}")
+        # a rational literal can leave an integral Fraction behind
+        p.terms = {e: as_scalar(c) for e, c in p.terms.items()}
         return p
 
     def parse_sum(self) -> AffinePoly:
@@ -390,7 +397,7 @@ class _Parser:
         sign = 1
         while True:
             # each summand is added into the one dict, not into a copy of it
-            for e, c in self.parse_product().terms.items():
+            for e, c in self.parse_product():
                 _add_into(acc.terms, e, c if sign > 0 else -c)
             ch = self._peek()
             if ch not in ("+", "-"):
@@ -405,22 +412,31 @@ class _Parser:
             raise ParseError(f"product of total degree {degree} ending at position "
                              f"{self.pos}; a (2,2)-form has degree 4")
 
-    def parse_product(self) -> AffinePoly:
-        acc = self.parse_power()
+    def parse_product(self):
+        """The terms of a product: literals and variable powers multiply into
+        one term, and only parenthesized factors expand as polynomials."""
+        coeff, exps, poly, degree = 1, (0,) * len(ALL_VARS), None, 0
         while True:
+            factor = self.parse_power()
+            degrees = (degree, _degree(factor))
+            if min(degrees) > 0:
+                self._check_degree(sum(degrees))
+            degree = -1 if -1 in degrees else sum(degrees)
+            if isinstance(factor, AffinePoly):
+                poly = factor if poly is None else poly * factor
+            else:
+                coeff, exps = coeff * factor[0], tuple(a + b for a, b in zip(exps, factor[1]))
+            # "a*b", or implicit multiplication as in "2x0" or "x0(y1+y2)"
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
             elif ch != "(" and not ch.isalpha():
-                return acc
-            # "a*b", or implicit multiplication as in "2x0" or "x0(y1+y2)"
-            factor = self.parse_power()
-            degrees = (acc.total_degree(), factor.total_degree())
-            if min(degrees) > 0:
-                self._check_degree(sum(degrees))
-            acc = acc * factor
+                break
+        terms = poly.terms.items() if poly is not None else [((0,) * len(ALL_VARS), 1)]
+        return [(tuple(a + b for a, b in zip(e, exps)), c * coeff) for e, c in terms]
 
-    def parse_power(self) -> AffinePoly:
+    def parse_power(self):
+        """A (coefficient, exponents) pair, or an AffinePoly if parenthesized."""
         # unary minus signs bind looser than "^": "x0*-y0^2" is x0*(-(y0^2))
         sign = 1
         while self._peek() == "-":
@@ -430,18 +446,16 @@ class _Parser:
         if self._peek() == "^":
             self.pos += 1
             self._skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
+            digits = self._digits()
+            if not digits:
                 raise ParseError(f"expected exponent at position {self.pos}")
-            n = int(self.text[start : self.pos])
-            if base.total_degree() > 0:
-                self._check_degree(base.total_degree() * n)
-            base = base ** n
-        return -base if sign < 0 else base
+            n = int(digits)
+            if _degree(base) > 0:
+                self._check_degree(_degree(base) * n)
+            base = base ** n if isinstance(base, AffinePoly) else (base[0] ** n, tuple(e * n for e in base[1]))
+        return base * sign if isinstance(base, AffinePoly) else (base[0] * sign, base[1])
 
-    def parse_atom(self) -> AffinePoly:
+    def parse_atom(self):
         ch = self._peek()
         if ch == "(":
             self.pos += 1
@@ -449,33 +463,32 @@ class _Parser:
             self._expect(")")
             return p
         if ch.isalpha():
-            start = self.pos
             self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            name = self.text[start : self.pos]
+            name = ch + self._digits()
             if name not in ALL_VARS:
                 raise ParseError(f"unknown variable {name!r}")
-            return AffinePoly.variable(ALL_VARS, name)
+            return 1, tuple(int(v == name) for v in ALL_VARS)
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            num = int(self.text[start : self.pos])
+            num = int(self._digits())
             if self._peek() == "/":
                 self.pos += 1
                 self._skip_ws()
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                if start == self.pos:
+                start, digits = self.pos, self._digits()
+                if not digits:
                     raise ParseError(f"expected denominator at position {self.pos}")
-                den = int(self.text[start : self.pos])
+                den = int(digits)
                 if den == 0:
                     raise ParseError(f"zero denominator at position {start}")
-                return AffinePoly.constant(ALL_VARS, Fraction(num, den))
-            return AffinePoly.constant(ALL_VARS, Fraction(num))
+                num = as_scalar(Fraction(num, den))
+            return num, (0,) * len(ALL_VARS)
         raise ParseError(f"unexpected character {ch!r} at position {self.pos} in {self.text!r}")
+
+
+def _degree(factor) -> int:
+    """Total degree of a parsed factor; -1 if it is zero."""
+    if isinstance(factor, AffinePoly):
+        return factor.total_degree()
+    return sum(factor[1]) if factor[0] else -1
 
 
 def parse(text: str) -> BiPoly:
@@ -508,8 +521,9 @@ class FrameChange:
     __slots__ = ("g2", "g3")
 
     def __init__(self, g2, g3):
-        self.g2 = tuple(tuple(as_scalar(c) for c in row) for row in g2)
-        self.g3 = tuple(tuple(as_scalar(c) for c in row) for row in g3)
+        # rational entries stay Fractions, which callers may divide with "/"
+        self.g2, self.g3 = (tuple(tuple(c if isinstance(c, NumberFieldElement) else as_fraction(c)
+                                        for c in row) for row in g) for g in (g2, g3))
         if len(self.g2) != 2 or any(len(r) != 2 for r in self.g2):
             raise ValueError("g2 must be 2x2")
         if len(self.g3) != 3 or any(len(r) != 3 for r in self.g3):

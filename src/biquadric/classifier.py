@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .bipoly import (
@@ -49,7 +47,7 @@ from .fibration import (
     split_conic,
 )
 from .oneps import Weight, monomial_weight, mu
-from .scalars import format_scalar, is_zero_scalar
+from .scalars import format_scalar, is_zero_scalar, primitive_integers
 from .singularity import (
     FibreLine,
     HorizontalSection,
@@ -190,12 +188,8 @@ class Flag:
     line: Optional[Tuple] = None
 
 
-IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-IDENTITY3 = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-)
+IDENTITY2 = ((1, 0), (0, 1))
+IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _line_value(line, p) -> object:
@@ -399,7 +393,7 @@ def _tangent_flag(x, conic) -> Flag:
     if all(is_zero_scalar(c) for c in (c00, c01, c11)):
         raise ValueError("conic is singular along Z(y2)")
     r = BinForm(2, (c00, c01, c11)).roots()[0][0]
-    p = (r[0], r[1], Fraction(0))
+    p = (r[0], r[1], 0)
     return Flag(x, p, polar(conic_gram(conic), p))
 
 
@@ -456,7 +450,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
             g = binform_gcd(g, h)
         if g.is_zero() or g.d >= 1:
             # a common fibre line exists
-            ustar = (Fraction(1), Fraction(0)) if g.is_zero() else g.roots()[0][0]
+            ustar = (1, 0) if g.is_zero() else g.roots()[0][0]
             ell = tuple(ustar[0] * a[i] + ustar[1] * b[i] for i in range(3))
             if all(is_zero_scalar(x) for x in ell):
                 ell = tuple(ustar[0] * c[i] + ustar[1] * d[i] for i in range(3))
@@ -530,8 +524,7 @@ def random_destabilize_search(
     the rational f; a weight found is verified exactly."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    int_terms = {m: int(c * scale) for m, c in f.terms.items()}
+    int_terms = dict(zip(f.terms, primitive_integers(f.terms.values())))
     rng = random.Random(seed)
     for trial in range(trials):
         if trial == 0:

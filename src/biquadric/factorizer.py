@@ -44,6 +44,7 @@ from .scalars import (
     NumberFieldElement,
     as_fraction,
     is_zero_scalar,
+    primitive_integers,
     scalar_inv,
     squarefree_part,
 )
@@ -63,7 +64,10 @@ def _rational_sqrt(c: Fraction) -> Optional[Fraction]:
 def poly_sqrt(delta: AffinePoly) -> Optional[AffinePoly]:
     """Formal square root of a rational polynomial, allowing one quadratic
     scalar extension Q(sqrt(d)), d a squarefree integer, for the leading
-    coefficient; None certifies it is not a square.
+    coefficient; None certifies it is not a square.  With P the primitive
+    integer multiple of delta and L its leading coefficient, a root of L P
+    with leading coefficient L is integral if there is one (Gauss's lemma):
+    each next term is an exact integer quotient, or there is no root.
     """
     if delta.is_zero():
         return AffinePoly(delta.vars)
@@ -71,25 +75,25 @@ def poly_sqrt(delta: AffinePoly) -> Optional[AffinePoly]:
     c = delta.terms[lead]
     if isinstance(c, NumberFieldElement) or any(e % 2 for e in lead):
         return None
-    # the root of delta / c with leading coefficient 1, then scaled by sqrt(c)
-    monic = delta * (1 / c)
-    half = tuple(e // 2 for e in lead)
-    s = AffinePoly(delta.vars, {half: 1})
-    while True:
-        residual = monic - s * s
-        if residual.is_zero():
-            break
+    nums = dict(zip(delta.terms, primitive_integers(delta.terms.values())))
+    top, half = nums[lead], tuple(e // 2 for e in lead)
+    s = AffinePoly(delta.vars, {half: top})
+    residual = AffinePoly(delta.vars, {e: top * n for e, n in nums.items()}) - s * s
+    while not residual.is_zero():
         lt = max(residual.terms)
         diff = tuple(a - b for a, b in zip(lt, half))
-        if any(d < 0 for d in diff) or diff >= half:
+        q, rem = divmod(residual.terms[lt], 2 * top)
+        if rem or any(d < 0 for d in diff) or diff >= half:
             return None
-        s = s + AffinePoly(delta.vars, {diff: residual.terms[lt] / 2})
+        step = AffinePoly(delta.vars, {diff: q})
+        residual = residual - step * (s * 2 + step)
+        s = s + step
     root = _rational_sqrt(c)
     if root is None:
         # sqrt(c) = r sqrt(d); t^2 - d is irreducible since c is not a square
         d = squarefree_part(c)
-        root = NumberFieldElement((-d, 0, 1), (Fraction(0), _rational_sqrt(c / d)))
-    return s * root
+        root = NumberFieldElement((-d, 0, 1), (0, _rational_sqrt(Fraction(c, d))))
+    return s * (root * Fraction(1, top))
 
 
 def bihomogeneous_factor(f: BiPoly) -> List[Factor]:
@@ -135,7 +139,7 @@ def _x_content(f: BiPoly) -> BinForm:
     """The gcd of the binary quadratics that multiply the y-monomials."""
     forms: dict = {}
     for m, c in f.terms.items():
-        forms.setdefault(m[2:], [Fraction(0)] * 3)[m[1]] = c
+        forms.setdefault(m[2:], [0] * 3)[m[1]] = c
     g = BinForm(2)
     for coeffs in forms.values():
         g = binform_gcd(g, BinForm(2, coeffs))
@@ -229,11 +233,11 @@ def _in_field(c, modulus):
         return None
     # c = a + b t with t^2 + m1 t + m0 = 0, so t = (-m1 + sqrt(m1^2 - 4 m0)) / 2
     m0, m1, _one = c.modulus
-    r = _rational_sqrt((m1 * m1 - 4 * m0) / -modulus[0])
+    r = _rational_sqrt(Fraction(m1 * m1 - 4 * m0, -modulus[0]))
     if r is None:
         return None
-    a, b = (c.residue + (Fraction(0), Fraction(0)))[:2]
-    return NumberFieldElement(modulus, (a - b * m1 / 2, b * r / 2))
+    a, b = (c.residue + (0, 0))[:2]
+    return NumberFieldElement(modulus, (a - b * m1 * Fraction(1, 2), b * r * Fraction(1, 2)))
 
 
 def _line_quotient(q: AffinePoly, line):
@@ -285,11 +289,9 @@ def _primitive(f: BiPoly) -> BiPoly:
     """f scaled to coprime integer coefficients, positive at the lex-leading
     monomial; terms in descending lex order."""
     keys = sorted(f.terms, reverse=True)
-    cs = [as_fraction(f.terms[m]) for m in keys]
-    den = math.lcm(*(c.denominator for c in cs))
-    nums = [c.numerator * (den // c.denominator) for c in cs]
-    g = math.gcd(*nums) * (1 if nums[0] > 0 else -1)
-    return BiPoly(f.bidegree, {m: Fraction(n // g) for m, n in zip(keys, nums)})
+    nums = primitive_integers(as_fraction(f.terms[m]) for m in keys)
+    sign = 1 if nums[0] > 0 else -1
+    return BiPoly(f.bidegree, {m: sign * n for m, n in zip(keys, nums)})
 
 
 def _monic(f: BiPoly, modulus) -> BiPoly:

@@ -49,7 +49,7 @@ class BinForm:
 
     @property
     def coeffs(self) -> Tuple:
-        return self.poly.coeffs + (Fraction(0),) * (self.d - self.poly.degree)
+        return self.poly.coeffs + (0,) * (self.d - self.poly.degree)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -87,8 +87,8 @@ class BinForm:
         """Value at a P^1 point given by a coordinate pair of scalars:
         Horner's rule in p0 on the coefficients times powers of p1."""
         p0, p1 = p
-        acc = Fraction(0)
-        p1_power = Fraction(1)
+        acc = 0
+        p1_power = 1
         for i, c in enumerate(self.coeffs):
             if i:
                 acc = acc * p0
@@ -145,7 +145,7 @@ class ConicPencil:
 def fibre_matrix(f: BiPoly) -> ConicPencil:
     if f.bidegree != (2, 2):
         raise ValueError("fibre matrix requires bidegree (2, 2)")
-    acc = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    acc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for m, c in f.terms.items():
         ys = [j for j in range(3) for _ in range(m[2 + j])]
         i, j = ys  # exactly two y-indices since the y-degree is 2
@@ -284,7 +284,7 @@ def restrict_x(f: BiPoly, p1) -> AffinePoly:
             v = v * p1[1] ** m[1]
         if is_zero_scalar(v):
             continue
-        terms[m[2:]] = terms.get(m[2:], Fraction(0)) + v
+        terms[m[2:]] = terms.get(m[2:], 0) + v
     return AffinePoly(Y_VARS, terms)
 
 
@@ -295,7 +295,7 @@ def conic_of(factor: BiPoly) -> AffinePoly:
 
 def conic_gram(q: AffinePoly):
     """Symmetric Gram matrix (halved mixed terms) of a quadratic form in y."""
-    g = [[Fraction(0)] * 3 for _ in range(3)]
+    g = [[0] * 3 for _ in range(3)]
     for e, c in q.terms.items():
         ys = [j for j in range(3) for _ in range(e[j])]
         i, j = ys
@@ -311,7 +311,7 @@ def conic_gram(q: AffinePoly):
 def bilinear(g, u, v):
     """u^T g v for a symmetric 3x3 Gram matrix g; bilinear(g, v, v) is the
     value of the quadratic form at v."""
-    acc = Fraction(0)
+    acc = 0
     for i in range(3):
         for j in range(3):
             if not is_zero_scalar(g[i][j]):
@@ -428,7 +428,7 @@ def _y2_profile(q: AffinePoly):
     by_deg = {0: {}, 1: {}, 2: {}}
     for e, c in q.terms.items():
         by_deg[e[2]][(e[0], e[1])] = c
-    c2 = by_deg[2].get((0, 0), Fraction(0))
+    c2 = by_deg[2].get((0, 0), 0)
     c1 = BinForm(1, [by_deg[1].get((1, 0), 0), by_deg[1].get((0, 1), 0)])
     c0 = BinForm(2, [by_deg[0].get((2, 0), 0), by_deg[0].get((1, 1), 0), by_deg[0].get((0, 2), 0)])
     return c2, c1, c0

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: rationals, univariate polynomials, simple number fields.
 
-Rationals are plain ``fractions.Fraction``.  Univariate polynomials are dense
+A rational is an ``int`` when it is integral and a ``fractions.Fraction`` only
+when it is not (``as_scalar``); a division goes through ``scalar_inv`` or
+``Fraction(n, d)``, never ``int / int``.  Univariate polynomials are dense
 coefficient lists over a field (rationals or a number field).  Number field
 elements are residues modulo a monic irreducible rational polynomial of degree
 at most 6, held as integers over one denominator; all arithmetic is exact.
@@ -28,8 +30,12 @@ def as_fraction(c) -> Fraction:
 
 
 def as_scalar(c):
-    """A number-field element as it is, anything else as a Fraction."""
-    return c if isinstance(c, NumberFieldElement) else as_fraction(c)
+    """A number-field element as it is, an integral rational as an int and
+    any other rational as a Fraction."""
+    if isinstance(c, (int, NumberFieldElement)):
+        return c
+    c = as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def is_zero_scalar(c) -> bool:
@@ -39,14 +45,14 @@ def is_zero_scalar(c) -> bool:
 
 
 def scalar_inv(c):
-    """Multiplicative inverse of a nonzero Fraction or NumberFieldElement."""
+    """Multiplicative inverse of a nonzero rational or NumberFieldElement."""
     if isinstance(c, NumberFieldElement):
         return c.inverse()
-    return Fraction(1) / as_fraction(c)
+    return as_scalar(Fraction(1, as_fraction(c)))
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficients Fraction or NumberFieldElement.
+    """Dense univariate polynomial; coefficients rational or NumberFieldElement.
 
     Coefficient i is the coefficient of t**i; the list carries no trailing
     zeros, and the zero polynomial has an empty list.
@@ -91,7 +97,7 @@ class UniPoly:
     def __add__(self, other):
         other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             a[i] = a[i] + c
         return UniPoly(a)
@@ -108,7 +114,7 @@ class UniPoly:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if is_zero_scalar(a):
                 continue
@@ -136,7 +142,7 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        quo = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         inv_lead = scalar_inv(other.leading())
         d = other.degree
         while len(rem) - 1 >= d and rem:
@@ -165,13 +171,13 @@ class UniPoly:
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def is_rational(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
+        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -190,10 +196,34 @@ class UniPoly:
 
 
 def uv_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; uv_gcd(0, 0) = 0."""
+    """Monic greatest common divisor; uv_gcd(0, 0) = 0.  Over a number field
+    by Euclid's algorithm; over Q by the primitive PRS, on integer primitive
+    parts with pseudo-remainders over Z (Collins, JACM 1967; Brown and
+    Traub, JACM 1971), so no rational arithmetic runs."""
+    if a.is_rational() and b.is_rational():
+        a, b = primitive_integers(a.coeffs), primitive_integers(b.coeffs)
+        while b:
+            while len(a) >= len(b):  # a becomes lead(b)^k a mod b
+                top = a.pop()
+                a = [x * b[-1] for x in a]
+                for i, c in enumerate(b[:-1], len(a) + 1 - len(b)):
+                    a[i] -= top * c
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, primitive_integers(a)
+        a, b = UniPoly(a), UniPoly()
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
+
+
+def primitive_integers(coeffs) -> List[int]:
+    """Rational coefficients times the positive rational making them coprime integers."""
+    coeffs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*nums)
+    return [n // g for n in nums]
 
 
 def _to_sympy(p: UniPoly):
@@ -512,7 +542,7 @@ def uv_roots(p: UniPoly) -> List[Tuple[Scalar, int]]:
         return [(-p.coeffs[0], 1)]
     rational = [c.as_fraction() if isinstance(c, NumberFieldElement) and c.is_rational() else c
                 for c in p.coeffs]
-    if all(isinstance(c, Fraction) for c in rational):
+    if all(isinstance(c, (int, Fraction)) for c in rational):
         return [
             (-fac.coeffs[0] if fac.degree == 1 else NumberFieldElement(fac, UniPoly.gen()), mult)
             for fac, mult in uv_factorize(UniPoly(rational))

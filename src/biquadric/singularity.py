@@ -12,7 +12,6 @@ computed by truncated linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -124,7 +123,7 @@ class _RowSpace:
                 return
             factor = row[lead]
             for e, c in pivot.items():
-                v = row.get(e, Fraction(0)) - factor * c
+                v = row.get(e, 0) - factor * c
                 if is_zero_scalar(v):
                     row.pop(e, None)
                 else:

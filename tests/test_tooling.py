@@ -4,9 +4,12 @@ import ast
 import importlib.util
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import biquadric.cli  # noqa: F401  (imports every module the tracer looks in)
+from biquadric.bipoly import parse
+from conftest import FIXTURES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -151,3 +154,67 @@ def test_only_corank_two_germs_reach_the_local_algebra():
     returned = {ast.unparse(stmt.test) for stmt in body[:first_call]
                 if isinstance(stmt, ast.If) and isinstance(stmt.body[-1], ast.Return)}
     assert {"rank == 3", "rank == 2"} <= returned
+
+
+# Division sites in src/, as (module, enclosing function, source text).  Every
+# true division of two scalars is exact, through scalar_inv or Fraction(n, d):
+# "/" on two ints gives a float, so a "/" is allowed only with a Fraction(...)
+# operand and at a site pinned here.  src/ has none.
+DIVISION_SITES = set()
+
+
+def _divisions(tree):
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append((scope, child))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def _is_fraction_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+
+
+def test_every_division_is_pinned_and_exact():
+    sites, inexact = set(), []
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        for scope, node in _divisions(ast.parse(path.read_text())):
+            sites.add((path.name, scope, ast.unparse(node)))
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            if not any(map(_is_fraction_call, operands)):
+                inexact.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert inexact == []
+    assert sites == DIVISION_SITES
+
+
+def test_division_scan_sees_a_division():
+    # the scan itself finds "/" inside methods and nested functions
+    tree = ast.parse("class A:\n    def f(self, a, b):\n        def g():\n            return a / b\n"
+                     "        a /= Fraction(1, 2)\n")
+    assert [(scope, ast.unparse(n)) for scope, n in _divisions(tree)] == [
+        ("A.f.g", "a / b"), ("A.f", "a /= Fraction(1, 2)")]
+
+
+def test_integer_text_parses_to_ints():
+    texts = list(FIXTURES.values()) + [
+        "2x0^2*y0^2 - 3*x0*x1*(y1 - 2*y2)^2 + (x0 - x1)^2*(y0*y1 + 7*y2^2)",
+        "-(x0*y0 + x1*y1)^2 + 4/2*x0^2*y2^2",
+    ]
+    for text in texts:
+        assert {type(c) for c in parse(text).terms.values()} == {int}, text
+
+
+def test_rational_literal_parses_to_a_fraction():
+    f = parse("1/2*x0^2*y0^2 + 3*x1^2*y1^2 - x0*x1*(2/3*y0 + y1)*y2")
+    assert type(f.coefficient((2, 0, 2, 0, 0))) is Fraction
+    assert f.coefficient((1, 1, 1, 0, 1)) == Fraction(-2, 3)
+    assert type(f.coefficient((0, 2, 0, 2, 0))) is int
+    assert type(f.coefficient((1, 1, 0, 1, 1))) is int
