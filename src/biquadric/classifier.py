@@ -55,6 +55,7 @@ from .singularity import (
     SingularLocus,
     completed_rows,
     singular_locus,
+    x_linear_root,
     y_linear_coeffs,
 )
 from .weightlp import find_destabilizing_weight
@@ -349,31 +350,26 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
         if ps.kind is PhiSigmaKind.UNDEFINED:
             raise ValueError("singular contracted section: input is unstable")
         violated = ps.kind is PhiSigmaKind.CONSTANT and all(
-            rec.local_type.is_a1 for rec in locus.isolated_points
+            rec.is_a1 for rec in locus.isolated_points
             if _on_some_section(rec.point[1], (p2n,)))
         checks.note(f"section through {_fmt_coords(p2n)}", "ConstantTangentMap",
                     violated, Flag(p=p2n, line=ps.line))
     # A non-A1 singular point on a contracted section.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if not rec.local_type.is_a1 and _on_some_section(p2, locus.section_points):
+        if not rec.is_a1 and _on_some_section(p2, locus.section_points):
             checks.note(_fmt_point(rec.point), "NonA1OnContractedSection", True,
                         Flag((p1,), p2, _non_a1_section_line(f, rec.point)))
     # A non-A1 singular point with a non-reduced (double-line) fibre.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if not rec.local_type.is_a1 and rec.fibre_rank == 1:
+        if not rec.is_a1 and rec.fibre_rank == 1:
             checks.note(_fmt_point(rec.point), "NonA1NonReducedFibre", True,
                         Flag((p1,), p2, _double_line_of(f, p1)))
 
 
 # ---------------------------------------------------------------------------
 # Reducible surfaces
-
-
-def _x_root(factor: BiPoly):
-    """The root in P^1 of a form c0*x0 + c1*x1 of bidegree (1, 0)."""
-    return (factor.coefficient((0, 1, 0, 0, 0)), -factor.coefficient((1, 0, 0, 0, 0)))
 
 
 def _bilinear_lines(factor: BiPoly):
@@ -426,7 +422,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
     # (1,0) x (1,2): semi-stable iff the intersection conic is smooth.
     quadric = [fac for bd, fac in factors if bd == (1, 2)]
     if quadric:
-        x = (_x_root(next(fac for bd, fac in factors if bd == (1, 0))),)
+        x = (x_linear_root(next(fac for bd, fac in factors if bd == (1, 0))),)
         g0 = restrict_x(quadric[0], x[0])
         subject = "plane-fibre intersection conic"
         if matrix_rank(conic_gram(g0)) == 3:
@@ -469,7 +465,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
 
     # Two fibre planes and an irreducible conic cylinder.
     if bidegrees == [(0, 2), (1, 0), (1, 0)]:
-        r1, r2 = [_x_root(fac) for bd, fac in factors if bd == (1, 0)]
+        r1, r2 = [x_linear_root(fac) for bd, fac in factors if bd == (1, 0)]
         if is_zero_scalar(det2((r1, r2))):
             return "repeated fibre plane", "NonReducedVerticalPart", Flag((r1,))
         conic = conic_of(next(fac for bd, fac in factors if bd == (0, 2)))

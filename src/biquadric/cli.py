@@ -35,6 +35,7 @@ from .singularity import (
     FibreLine,
     HorizontalSection,
     PlaneCurveImage,
+    classify_local,
     singular_locus,
 )
 
@@ -208,17 +209,18 @@ def _cmd_singular_locus(args) -> int:
     if args.cutoff < 2:
         raise ParseError(f"--cutoff must be at least 2, got {args.cutoff}")
     f = read_poly(args.poly)
-    locus = singular_locus(f, cutoff=args.cutoff)
+    locus = singular_locus(f)
     points = []
     lines = [f"smooth: {locus.is_smooth}"]
     for rec in locus.isolated_points:
         p1, p2 = rec.point
+        label = classify_local(rec.local, args.cutoff).label
         points.append({
             "p1": [format_scalar(c) for c in p1],
             "p2": [format_scalar(c) for c in p2],
-            "type": rec.local_type.label,
+            "type": label,
         })
-        lines.append(f"point {_fmt_coords(p1)} x {_fmt_coords(p2)}: {rec.local_type.label}")
+        lines.append(f"point {_fmt_coords(p1)} x {_fmt_coords(p2)}: {label}")
     curves = []
     for comp in locus.curve_components:
         curves.append(_curve_json(comp))

@@ -2,11 +2,13 @@
 
 Singular points are found through the fibre Gram pencil: every singular point
 of the surface sits over a root of the discriminant sextic, at the vertex (or
-on the vertex line) of its singular fibre conic.  Local germs are classified
-by the rank of the tangent cone: rank 3 is A1, a corank-1 germ is A_n with n
-read off by the splitting lemma (see classify_local), and a germ of corank 2
-or more is decided by the dimension of the local algebra O/(f, grad f),
-computed by truncated linear algebra.
+on the vertex line) of its singular fibre conic.  Each singular point's record
+carries its chart, the local equation at the point, and reads its tangent cone
+and whether it is A1 (cone rank 3, by the Morse lemma) off that chart;
+classify reads only the cone rank.  classify_local labels a germ on request:
+a corank-1 germ is A_n with n read off by the splitting lemma, and a germ of
+corank 2 or more is decided by the dimension of the local algebra
+O/(f, grad f), computed by truncated linear algebra.
 """
 
 from __future__ import annotations
@@ -222,10 +224,6 @@ class LocalType:
             return f"NonIsolatedSuspected({self.cutoff})"
         return self.kind
 
-    @property
-    def is_a1(self) -> bool:
-        return self.kind == "An" and self.n == 1
-
 
 def _splitting_type(local: AffinePoly, gram, cutoff: int) -> LocalType:
     """A corank-1 germ's type by the splitting lemma (see classify_local)."""
@@ -319,9 +317,17 @@ CurveComponent = Union[HorizontalSection, FibreLine, FibreConic, PlaneCurveImage
 @dataclass(frozen=True)
 class SingularPointRecord:
     point: Point
-    local_type: LocalType
-    tangent_cone: AffinePoly
+    local: AffinePoly  # the local equation in the chart centred at the point
     fibre_rank: int  # rank of the fibre conic over the point's P^1 coordinate
+
+    @property
+    def tangent_cone(self) -> AffinePoly:
+        return self.local.degree_part(2)
+
+    @property
+    def is_a1(self) -> bool:
+        """A1 exactly when the tangent cone has rank 3, by the Morse lemma."""
+        return matrix_rank(conic_gram(self.tangent_cone)) == 3
 
 
 @dataclass(frozen=True)
@@ -337,17 +343,17 @@ class SingularLocus:
         return not self.isolated_points and not self.curve_components
 
 
-def singular_locus(f: BiPoly, cutoff: int = 10, factors=None) -> SingularLocus:
+def singular_locus(f: BiPoly, factors=None) -> SingularLocus:
     if f.is_zero():
         raise ValueError("the zero polynomial has no singular locus")
     if factors is None:
         factors = bihomogeneous_factor(f)
     if len(factors) >= 2:
         return _singular_locus_reducible(f, factors)
-    return _singular_locus_irreducible(f, cutoff)
+    return _singular_locus_irreducible(f)
 
 
-def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
+def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
     pencil = fibre_matrix(f)
     disc = discriminant(pencil)
     fx0 = f.partial("x0")
@@ -384,7 +390,8 @@ def _singular_locus_irreducible(f: BiPoly, cutoff: int) -> SingularLocus:
         if P in unique_points or any(conjugate(P[1], p2) for p2 in sections):
             continue
         unique_points.append(P)
-    records = tuple(_make_record(f, P, cutoff, pencil) for P in unique_points)
+    records = tuple(SingularPointRecord(P, chart_local(f, P), matrix_rank(pencil.evaluate(P[0])))
+                    for P in unique_points)
     return SingularLocus(records, tuple(unique_components), section_points)
 
 
@@ -413,12 +420,6 @@ def _rank_one_fibres(pencil) -> List[Tuple[object, object]]:
     roots of the gcd of the adjugate's entries, which vanish exactly there."""
     g = reduce(binform_gcd, (b for row in adjugate3(pencil.entries) for b in row))
     return [p1pt for p1pt, _mult in g.roots()] if g.d >= 1 else []
-
-
-def _make_record(f: BiPoly, P: Point, cutoff: int, pencil) -> SingularPointRecord:
-    local = chart_local(f, P)
-    return SingularPointRecord(P, classify_local(local, cutoff), local.degree_part(2),
-                               matrix_rank(pencil.evaluate(P[0])))
 
 
 def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
@@ -499,7 +500,7 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
     if bd1 == (1, 0) and bd2 == (1, 0):
         return None  # distinct fibre planes are disjoint
     if bd1 == (1, 0):
-        p1pt = _x_linear_root(f1)
+        p1pt = normalize_projective(x_linear_root(f1))
         rest = restrict_x(f2, p1pt)
         if rest.is_zero():
             return PlaneCurveImage("factor vanishes on the whole fibre plane")
@@ -519,11 +520,9 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
     )
 
 
-def _x_linear_root(fac: BiPoly):
-    c0 = fac.coefficient((1, 0, 0, 0, 0))
-    c1 = fac.coefficient((0, 1, 0, 0, 0))
-    # root of c0 x0 + c1 x1
-    return normalize_projective((c1, -c0))
+def x_linear_root(fac: BiPoly):
+    """The root (c1, -c0) in P^1 of a form c0*x0 + c1*x1 of bidegree (1, 0)."""
+    return (fac.coefficient((0, 1, 0, 0, 0)), -fac.coefficient((1, 0, 0, 0, 0)))
 
 
 def y_linear_coeffs(fac: BiPoly):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -7,6 +8,7 @@ import pytest
 
 from biquadric import singularity
 from biquadric.bipoly import AffinePoly, act, adjugate3, det3, parse
+from biquadric.classifier import classify
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
@@ -28,6 +30,7 @@ from biquadric.singularity import (
     HorizontalSection,
     PlaneCurveImage,
     SingularLocus,
+    SingularPointRecord,
     chart_local,
     classify_local,
     classify_singularity,
@@ -168,7 +171,7 @@ def _on_component(P, comp) -> bool:
     return False
 
 
-def adjugate_section_locus(f, cutoff):
+def adjugate_section_locus(f):
     """The singular locus of an irreducible f with det M(x) = 0, found by
     substituting the vertex section into f_x0 and f_x1: a curve of singular
     points where both vanish identically.  Also returns the two substituted
@@ -200,7 +203,8 @@ def adjugate_section_locus(f, cutoff):
         P = (normalize_projective(P[0]), normalize_projective(P[1]))
         if P not in unique_points and not any(_on_component(P, c) for c in unique_components):
             unique_points.append(P)
-    records = tuple(singularity._make_record(f, P, cutoff, pencil) for P in unique_points)
+    records = tuple(SingularPointRecord(P, chart_local(f, P), matrix_rank(pencil.evaluate(P[0])))
+                    for P in unique_points)
     return SingularLocus(records, tuple(unique_components), sections), partials
 
 
@@ -242,15 +246,34 @@ class TestIdenticallySingularPencil:
             forms += 1
             for g in (f, act(random_unimodular(rng), f), act(random_unimodular(rng), f)):
                 assert discriminant(fibre_matrix(g)).is_zero()
-                locus = singular_locus(g, cutoff=3)
-                reference, partials = adjugate_section_locus(g, cutoff=3)
+                locus = singular_locus(g)
+                reference, partials = adjugate_section_locus(g)
                 # the lemma: every x-derivative vanishes along the vertex section
                 assert all(p.is_zero() for p in partials)
                 assert locus.curve_components == reference.curve_components
-                assert [(r.point, r.local_type) for r in locus.isolated_points] == \
-                    [(r.point, r.local_type) for r in reference.isolated_points]
+                assert [(r.point, classify_local(r.local, 3).label) for r in locus.isolated_points] == \
+                    [(r.point, classify_local(r.local, 3).label) for r in reference.isolated_points]
                 seen.update(type(c) for c in locus.curve_components)
         assert expected in seen
+
+    def test_classify_runs_no_local_classification(self, monkeypatch):
+        # A verdict reads only the cone rank, so the points on the vertex
+        # curve, whose local algebra never stabilizes, cost no elimination.
+        calls = Counter()
+        for name in ("local_algebra_dim", "_splitting_type"):
+            def counted(*args, _name=name, _original=getattr(singularity, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(singularity, name, counted)
+        rng = random.Random("degenerate/classify")
+        while True:
+            f = _moving_vertex_form(rng)
+            if not f.is_zero() and len(bihomogeneous_factor(f)) == 1 and any(
+                    not r.is_a1 for r in singular_locus(f).isolated_points):
+                break
+        verdict = classify(f)
+        assert calls == Counter()
+        assert verdict.certificate is not None and verdict.certificate.verify(f)
 
 
 class TestTangentConeAndHessian:
@@ -379,23 +402,30 @@ def _algebra_type(local, cutoff):
     return f"A{alg.value}" if rank == 2 else "OtherIsolated"
 
 
-def _corank_one_germs(forms):
-    germs = []
+def _isolated_records(forms):
+    records = []
     for f in forms:
         try:
-            locus = singular_locus(f, cutoff=2)
+            records += singular_locus(f).isolated_points
         except (ValueError, NotImplementedError):  # recorded exit-3 inputs
             continue
-        for record in locus.isolated_points:
-            local = chart_local(f, record.point)
-            if matrix_rank(conic_gram(local.degree_part(2))) == 2:
-                germs.append(local)
-    return germs
+    return tuple(records)
+
+
+def _corank_one_germs(records):
+    return [r.local for r in records if matrix_rank(conic_gram(r.tangent_cone)) == 2]
 
 
 @lru_cache(maxsize=None)
-def _golden_germs():
-    return tuple(_corank_one_germs(parse(e["text"]) for e in json.loads(CORPUS_PATH.read_text())))
+def _golden_records():
+    return _isolated_records(parse(e["text"]) for e in json.loads(CORPUS_PATH.read_text()))
+
+
+@lru_cache(maxsize=None)
+def _fixture_records():
+    rng = random.Random("splitting/fixtures")
+    return _isolated_records(act(random_unimodular(rng), parse(text))
+                             for text in FIXTURES.values() for _ in range(2))
 
 
 def _shifted_family(n, cutoff, rng, scalars):
@@ -435,16 +465,13 @@ class TestSplittingLemma:
 
     @pytest.mark.parametrize("cutoff", [10, 3])
     def test_golden_corpus_points(self, cutoff):
-        germs = _golden_germs()
+        germs = _corank_one_germs(_golden_records())
         labels = [classify_local(g, cutoff).label for g in germs]
         assert labels == [_algebra_type(g, cutoff) for g in germs]
         assert "A3" in labels and ("A5" if cutoff == 10 else "NonIsolatedSuspected(3)") in labels
 
     def test_fixtures_under_frames(self):
-        rng = random.Random("splitting/fixtures")
-        forms = [act(random_unimodular(rng), parse(text))
-                 for text in FIXTURES.values() for _ in range(2)]
-        germs = _corank_one_germs(forms)
+        germs = _corank_one_germs(_fixture_records())
         assert germs
         for cutoff in (10, 3):
             assert [classify_local(g, cutoff).label for g in germs] == \
@@ -470,3 +497,16 @@ class TestSplittingLemma:
         for n in range(1, 6):
             f = _shifted_family(n, 3, rng, scalars)
             assert classify_local(f, 3).label == _algebra_type(f, 3) == _expected(n, 3)
+
+
+class TestA1ByConeRank:
+    """A point is A1 exactly when its tangent cone has rank 3 (the Morse
+    lemma), which is all a verdict reads of it.  A rank-2 germ is
+    q(u, v) + g(w) with g of order >= 3 (the splitting lemma), never A1."""
+
+    @pytest.mark.parametrize("records", [_golden_records, _fixture_records],
+                             ids=["golden", "fixtures-under-frames"])
+    def test_is_a1_is_the_a1_label(self, records):
+        records = records()
+        assert [r.is_a1 for r in records] == [classify_local(r.local).label == "A1" for r in records]
+        assert any(r.is_a1 for r in records) and not all(r.is_a1 for r in records)

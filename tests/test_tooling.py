@@ -137,6 +137,16 @@ def test_classifier_builds_every_certificate_frame_in_one_place():
     assert callers["point_frame"] <= {"normalize_frame"}
 
 
+def test_only_singular_locus_output_labels_a_point():
+    # A verdict reads a point's cone rank (SingularPointRecord.is_a1); an A_n
+    # label is computed only where the singular-locus command prints it, and
+    # for a bare germ.
+    callers = set()
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), ("classify_local",))["classify_local"]
+    assert callers == {"classify_singularity", "_cmd_singular_locus"}
+
+
 def test_only_corank_two_germs_reach_the_local_algebra():
     # A corank-1 germ's type comes from the splitting lemma; the truncated
     # local algebra runs in classify_local only after the rank-3 and rank-2
