@@ -375,11 +375,19 @@ def _cmd_verify_cert(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _parse_optional(self, arg):
+        # -h is the one single-dash option, so "-x0^2*y0^2" is an operand
+        if arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            return None
+        return super()._parse_optional(arg)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process:
     parsing does not change it, and building it costs more than most calls."""
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="biquadric",
         description="Exact stability analysis of bidegree-(2,2) surfaces in P1 x P2.",
     )

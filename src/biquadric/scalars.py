@@ -278,14 +278,16 @@ class _Field:
             raise ValueError(f"modulus degree {d} out of range")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        # t^d = -(m_0 + ... + m_{d-1} t^{d-1}); t^(k+1) is t^k shifted, its
-        # t^d term folded back the same way
-        rows, row = [], [-c for c in modulus[:-1]]
-        for _ in range(d - 1):
-            rows.append(row)
-            row = [(row[j - 1] if j else 0) - row[-1] * modulus[j] for j in range(d)]
-        self.scale = math.lcm(*(c.denominator for r in rows for c in r))
-        self.table = tuple(tuple(int(c * self.scale) for c in r) for r in rows)
+        # t^d = -(m_0 + ... + m_{d-1} t^{d-1}) and t^(k+1) is t^k shifted, its
+        # t^d term folded back; with m = n / den, t^(d+k) is a row over den^(k+1)
+        den = math.lcm(*(c.denominator for c in modulus))
+        n = [c.numerator * (den // c.denominator) for c in modulus[:-1]]
+        rows, row = [], [-c for c in n]
+        for k in range(d - 1):
+            rows.append((den ** (k + 1), row))
+            row = [(den * row[j - 1] if j else 0) - row[-1] * n[j] for j in range(d)]
+        self.scale = math.lcm(*(p // math.gcd(p, c) for p, r in rows for c in r))
+        self.table = tuple(tuple(c * self.scale // p for c in r) for p, r in rows)
         self.modulus, self.degree = modulus, d
 
 

@@ -1,13 +1,13 @@
 """Singular loci of (2,2)-surfaces and local classification of their germs.
 
 Singular points are found through the fibre Gram pencil: every singular point
-of the surface sits over a root of the discriminant sextic, at the vertex (or
-on the vertex line) of its singular fibre conic.  Each singular point's record
-carries its chart, the local equation at the point, and reads its tangent cone
-and whether it is A1 (cone rank 3, by the Morse lemma) off that chart;
-classify reads only the cone rank.  classify_local labels a germ on request:
-a corank-1 germ is A_n with n read off by the splitting lemma, and a germ of
-corank 2 or more is decided by the dimension of the local algebra
+of the surface sits over a repeated root of the discriminant sextic, at the
+vertex (or on the vertex line) of its singular fibre conic.  Each singular
+point's record carries its chart, the local equation at the point, and reads
+its tangent cone and whether it is A1 (cone rank 3, by the Morse lemma) off
+that chart; classify reads only the cone rank.  classify_local labels a germ
+on request: a corank-1 germ is A_n with n read off by the splitting lemma, and
+a germ of corank 2 or more is decided by the dimension of the local algebra
 O/(f, grad f), computed by truncated linear algebra.
 """
 
@@ -364,7 +364,12 @@ def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
         components.append(_vertex_curve(f))
         fibres = _rank_one_fibres(pencil)
     else:
-        fibres = [p1pt for p1pt, _mult in disc.roots()]
+        # Only a repeated root can carry a singular point.  Jacobi: disc' =
+        # tr(adj M . M').  At rank <= 1, adj M = 0, so t0 is repeated.  At rank 2
+        # with kernel v, adj M = c v v^T, c != 0, so disc'(t0) = c v^T M'(t0) v
+        # = 2c f_t(t0, v) as y^T M y = 2f: the vertex v, the fibre's one
+        # candidate, is singular iff t0 is repeated.
+        fibres = [p1pt for p1pt, mult in disc.roots() if mult > 1]
     for p1pt in fibres:
         pts, comps = _fibre_singularities(f, pencil, fx0, fx1, p1pt)
         points.extend(pts)

@@ -1,7 +1,11 @@
 """Shared fixtures: named surface instances and random generators."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,25 @@ def fixtures():
 
 
 MONOMIALS = list(all_monomials())
+
+
+@lru_cache(maxsize=None)
+def benchmark_workloads():
+    """The benchmark's seeded input streams (perfbench/workloads.py), loaded
+    as a module: its sparse pool is a corpus of supported sparse forms."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def pool_forms(n, seed):
+    """n seeded forms of the benchmark's sparse pool, as texts."""
+    workloads = benchmark_workloads()
+    rng = random.Random(seed)
+    return [workloads.format_poly(workloads.pool_form(i))
+            for i in rng.sample(range(workloads.SPARSE_POOL), n)]
 
 
 def random_poly(rng, lo=-3, hi=3, keep=1.0):

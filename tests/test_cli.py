@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from biquadric import cli
-from conftest import FIXTURES
+from conftest import FIXTURES, benchmark_workloads
 
 CMD = [sys.executable, "-m", "biquadric.cli"]
 
@@ -278,3 +278,45 @@ class TestParserReuse:
         for _ in range(2):
             code, out, _err = run_in_process("--help")
             assert code == 0 and out.startswith("usage: biquadric")
+
+
+def _pool_single_terms():
+    """The benchmark's sparse-pool forms that are one term with a negative
+    coefficient, as texts: "-2*x1^2*y0*y2" and the like."""
+    workloads = benchmark_workloads()
+    texts = (workloads.format_poly(workloads.pool_form(i)) for i in range(workloads.SPARSE_POOL))
+    return sorted({t for t in texts if t.startswith("-") and " " not in t})
+
+
+class TestLeadingMinus:
+    """-h is the only single-dash option, so any other argument that starts
+    with a single - is read as an operand, as it is after "--"."""
+
+    COMMANDS = [("classify",), ("classify", "--json"), ("singular-locus", "--cutoff=3"),
+                ("fibres",), ("factor",), ("boundary",), ("mu", "--weight=-1,1;-1,0,1"),
+                ("limit", "--weight", "-1,1;-1,0,1")]
+
+    def test_single_term_pool_forms(self):
+        texts = _pool_single_terms()
+        assert len(texts) >= 8
+        for text in texts:
+            assert run_in_process("classify", text)[1].startswith("class: Unstable\n")
+            for command in self.COMMANDS:
+                got = run_in_process(*command, text)
+                assert got == run_in_process(*command, "--", text), (command, text)
+                assert got[0] in (0, 3) and "Traceback" not in got[2]
+
+    @pytest.mark.parametrize("text", ["-x0^", "-x0^2*y0", "-{}", "-1/0*x0^2*y0^2",
+                                      "-x0^2*y0^2*z", "-0*x0^2*y0^2", "-x0^2*y0^2 +"])
+    def test_malformed_text_keeps_exit_code(self, text):
+        for command in self.COMMANDS:
+            got = run_in_process(*command, text)
+            assert got == run_in_process(*command, "--", text)
+            assert got[0] == 2 and got[2].startswith("parse error: ")
+
+    def test_options_stay_options(self):
+        code, out, _err = run_in_process("classify", "-h")
+        assert code == 0 and out.startswith("usage: biquadric classify")
+        assert run_in_process("classify", "--jsn", "x0^2*y0^2")[0] == 2
+        assert run_in_process("classify", "--json", "-x0^2*y0^2", "--trials", "2") == \
+            run_in_process("classify", "--json", "--trials", "2", "--", "-x0^2*y0^2")

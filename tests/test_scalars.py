@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from biquadric.scalars import (
     NumberFieldElement,
     UniPoly,
+    _Field,
     format_scalar,
     parse_scalar,
     scalar_inv,
@@ -239,6 +241,30 @@ class TestNumberFieldKernel:
                 c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                 assert (a * c).residue == (ra * c).coeffs
                 assert (c - a).residue == (P(c) - ra).coeffs
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_table_against_fraction_construction(self, d):
+        # the reduction table t^k mod m, k = d .. 2d-2, run in Fractions and
+        # put over the lcm of its reduced denominators
+        def reference(modulus):
+            rows, row = [], [-c for c in modulus[:-1]]
+            for _ in range(d - 1):
+                rows.append(row)
+                row = [(row[j - 1] if j else 0) - row[-1] * modulus[j] for j in range(d)]
+            scale = math.lcm(*(c.denominator for r in rows for c in r))
+            return tuple(tuple(int(c * scale) for c in r) for r in rows), scale
+
+        rng = random.Random(f"table/{d}")
+        moduli = [_shifted_eisenstein(rng, d) for _ in range(4)]
+        # an odd numerator over an even denominator keeps m_0 non-integral
+        moduli += [P(Fraction(rng.randrange(-9, 10, 2), rng.choice((2, 4, 6))),
+                     *(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 6, 9))) for _ in range(d - 1)), 1)
+                   for _ in range(8)]
+        for m in moduli:
+            modulus = tuple(Fraction(c) for c in m.coeffs)
+            assert any(c.denominator > 1 for c in modulus)
+            field = _Field(modulus)
+            assert (field.table, field.scale) == reference(modulus)
 
     def test_field_rebuilt_after_eviction(self):
         # the per-field tables are cached with a bound; an element of a field

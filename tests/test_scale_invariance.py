@@ -8,34 +8,20 @@ must agree, and both certificates must pass ``verify-cert``.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from biquadric import cli
 from biquadric.bipoly import parse
-from conftest import random_poly
+from conftest import pool_forms, random_poly
 from make_golden import CORPUS_PATH
 
-ROOT = Path(__file__).resolve().parents[1]
 SCALES = (Fraction(1, 7), Fraction(-3, 11), Fraction(5, 13), Fraction(-2, 17))
-
-
-def _pool_forms(n: int, seed: str):
-    """Seeded forms of the benchmark's sparse pool, as texts."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    rng = random.Random(seed)
-    return [workloads.format_poly(workloads.pool_form(i))
-            for i in rng.sample(range(workloads.SPARSE_POOL), n)]
 
 
 def _run(*args, stdin=None):
@@ -88,4 +74,4 @@ def test_seeded_dense_forms():
 
 
 def test_seeded_sparse_pool_forms():
-    _check(_pool_forms(40, "scale/sparse"), "sparse")
+    _check(pool_forms(40, "scale/sparse"), "sparse")

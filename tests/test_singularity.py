@@ -14,6 +14,7 @@ from biquadric.fibration import (
     BinForm,
     binform_gcd,
     conic_gram,
+    conjugate,
     contracted_sections,
     discriminant,
     fibre_matrix,
@@ -39,7 +40,7 @@ from biquadric.singularity import (
     singular_locus,
     tangent_cone,
 )
-from conftest import FIXTURES, random_poly, random_unimodular
+from conftest import FIXTURES, pool_forms, random_poly, random_unimodular
 from make_golden import CORPUS_PATH
 
 ORIGIN = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)))
@@ -510,3 +511,94 @@ class TestA1ByConeRank:
         records = records()
         assert [r.is_a1 for r in records] == [classify_local(r.local).label == "A1" for r in records]
         assert any(r.is_a1 for r in records) and not all(r.is_a1 for r in records)
+
+
+# ---------------------------------------------------------------------------
+# The fibre scan: repeated roots of the discriminant against every root
+
+
+def full_scan_locus(f):
+    """The singular locus of an irreducible f with det M(x) != 0 from the
+    fibre over every root of the discriminant, simple roots included: the
+    reference for the scan of the repeated roots alone."""
+    pencil = fibre_matrix(f)
+    fx0, fx1 = f.partial("x0"), f.partial("x1")
+    points, components = [], []
+    for p1pt, _mult in discriminant(pencil).roots():
+        pts, comps = singularity._fibre_singularities(f, pencil, fx0, fx1, p1pt)
+        points += pts
+        components += comps
+    sections = contracted_sections(f)
+    components += [HorizontalSection(p2) for p2 in sections
+                   if matrix_rank(polar_rows(f, p2)) == 0]
+    unique_components = []
+    for comp in components:
+        if comp not in unique_components:
+            unique_components.append(comp)
+    on_section = [c.p2 for c in unique_components if isinstance(c, HorizontalSection)]
+    unique_points = []
+    for P in points:
+        P = (normalize_projective(P[0]), normalize_projective(P[1]))
+        if P not in unique_points and not any(conjugate(P[1], p2) for p2 in on_section):
+            unique_points.append(P)
+    records = tuple(SingularPointRecord(P, chart_local(f, P), matrix_rank(pencil.evaluate(P[0])))
+                    for P in unique_points)
+    return SingularLocus(records, tuple(unique_components), sections)
+
+
+@lru_cache(maxsize=None)
+def _scan_corpus():
+    """Irreducible forms with a nonzero discriminant: the fixtures under
+    seeded frames, seeded dense forms and seeded sparse-pool forms."""
+    rng = random.Random("scan/corpus")
+    forms = [act(random_unimodular(rng), parse(text)) for text in FIXTURES.values() for _ in range(2)]
+    forms += [random_poly(rng) for _ in range(20)]
+    forms += [parse(text) for text in pool_forms(150, "scan/sparse")]
+    return tuple(f for f in forms if not discriminant(fibre_matrix(f)).is_zero()
+                 and len(bihomogeneous_factor(f)) == 1)
+
+
+class TestRepeatedRootScan:
+    """Only a repeated root of det M(x) carries a singular point (Jacobi's
+    formula; see _singular_locus_irreducible), so the scan of those fibres
+    finds what the scan of every fibre finds."""
+
+    def test_matches_full_scan(self):
+        forms = _scan_corpus()
+        assert len(forms) >= 100
+        singular = 0
+        for f in forms:
+            locus = singular_locus(f)
+            reference = full_scan_locus(f)
+            assert locus.isolated_points == reference.isolated_points, repr(f)
+            assert locus.curve_components == reference.curve_components, repr(f)
+            assert locus.section_points == reference.section_points
+            singular += not locus.is_smooth
+        assert 10 <= singular < len(forms)
+
+    def test_simple_roots_carry_nothing(self):
+        simple = 0
+        for f in _scan_corpus():
+            pencil = fibre_matrix(f)
+            fx0, fx1 = f.partial("x0"), f.partial("x1")
+            for p1pt, mult in discriminant(pencil).roots():
+                if mult == 1:
+                    simple += 1
+                    assert singularity._fibre_singularities(f, pencil, fx0, fx1, p1pt) == ([], [])
+        assert simple >= 100
+
+    def test_squarefree_discriminant_scans_no_fibre(self, monkeypatch):
+        calls = []
+        scan = singularity._fibre_singularities
+        monkeypatch.setattr(singularity, "_fibre_singularities",
+                            lambda *args: calls.append(args) or scan(*args))
+        rng = random.Random("scan/squarefree")
+        while True:
+            f = random_poly(rng)
+            disc = discriminant(fibre_matrix(f))
+            if disc.poly.degree == 6 and all(mult == 1 for _p, mult in disc.roots()):
+                break
+        assert classify(f).stability.value == "Stable"
+        assert calls == []
+        classify(parse(FIXTURES["cone_point"]))
+        assert calls
