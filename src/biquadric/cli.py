@@ -76,7 +76,10 @@ def poly_from_map(data: dict) -> BiPoly:
         terms = {_parse_monomial_key(k): Fraction(v) for k, v in data.items()}
     except (AttributeError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"malformed coefficient map: {exc}") from exc
-    return BiPoly((2, 2), terms)
+    f = BiPoly((2, 2), terms)
+    if f.is_zero():
+        raise ParseError("the zero polynomial has no bidegree")
+    return f
 
 
 def read_poly(text: str) -> BiPoly:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bipoly import AffinePoly, BiPoly, Y_VARS, det3, inv3, is_scalar_multiple
@@ -21,7 +20,6 @@ from .scalars import (
     NumberFieldElement,
     UniPoly,
     is_zero_scalar,
-    promote_pair,
     scalar_inv,
     uv_gcd,
     uv_roots,
@@ -100,17 +98,16 @@ class BinForm:
     def roots(self) -> List[Tuple[Tuple[object, object], int]]:
         """Roots in P^1 with multiplicities, as found by ``uv_roots``.
 
-        A root r of poly is the point [1, r], with 1 taken in r's number
-        field; the point at infinity [0, 1] accounts for any drop in the
-        degree of poly.
+        A root r of poly is the point [1, r]; the point at infinity [0, 1]
+        accounts for any drop in the degree of poly.
         """
         if self.is_zero():
             raise ValueError("the zero form has no root list")
         out: List[Tuple[Tuple[object, object], int]] = []
         if self.d > self.poly.degree:
-            out.append(((Fraction(0), Fraction(1)), self.d - self.poly.degree))
+            out.append(((0, 1), self.d - self.poly.degree))
         for root, mult in uv_roots(self.poly):
-            out.append(((promote_pair(root, 1)[1], root), mult))
+            out.append(((1, root), mult))
         return out
 
     def __repr__(self):
@@ -143,20 +140,13 @@ class ConicPencil:
 
 
 def fibre_matrix(f: BiPoly) -> ConicPencil:
+    """The pencil whose entry (i, j) is the binary quadratic form with the
+    (i, j) Gram entries of A, B and C as coefficients."""
     if f.bidegree != (2, 2):
         raise ValueError("fibre matrix requires bidegree (2, 2)")
-    acc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for m, c in f.terms.items():
-        ys = [j for j in range(3) for _ in range(m[2 + j])]
-        i, j = ys  # exactly two y-indices since the y-degree is 2
-        x_index = m[1]  # coefficient slot of x0^(2-k) x1^k
-        if i == j:
-            acc[i][i][x_index] = acc[i][i][x_index] + 2 * c
-        else:
-            acc[i][j][x_index] = acc[i][j][x_index] + c
-            acc[j][i][x_index] = acc[j][i][x_index] + c
-    ent = tuple(tuple(BinForm(2, acc[i][j]) for j in range(3)) for i in range(3))
-    return ConicPencil(ent)
+    grams = [conic_gram(q) for q in conic_coefficients(f)]
+    return ConicPencil(tuple(tuple(BinForm(2, [g[i][j] for g in grams]) for j in range(3))
+                             for i in range(3)))
 
 
 def discriminant(pencil: ConicPencil) -> BinForm:
@@ -201,8 +191,8 @@ def matrix_kernel(m) -> List[Tuple[object, ...]]:
     for fc in range(len(rows[0])):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * len(rows[0])
-        vec[fc] = Fraction(1)
+        vec = [0] * len(rows[0])
+        vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
         basis.append(tuple(vec))
@@ -294,23 +284,19 @@ def conic_of(factor: BiPoly) -> AffinePoly:
 
 
 def conic_gram(q: AffinePoly):
-    """Symmetric Gram matrix (halved mixed terms) of a quadratic form in y."""
+    """Doubled Gram matrix G of a quadratic form q in y, y^T G y = 2 q: the
+    matrix of second partials, integral on integral input."""
     g = [[0] * 3 for _ in range(3)]
     for e, c in q.terms.items():
-        ys = [j for j in range(3) for _ in range(e[j])]
-        i, j = ys
-        if i == j:
-            g[i][i] = g[i][i] + c
-        else:
-            half = c * Fraction(1, 2)
-            g[i][j] = g[i][j] + half
-            g[j][i] = g[j][i] + half
+        i, j = [k for k in range(3) for _ in range(e[k])]
+        g[i][j] = g[i][j] + c
+        g[j][i] = g[j][i] + c
     return tuple(tuple(row) for row in g)
 
 
 def bilinear(g, u, v):
-    """u^T g v for a symmetric 3x3 Gram matrix g; bilinear(g, v, v) is the
-    value of the quadratic form at v."""
+    """u^T g v for a symmetric 3x3 Gram matrix g; bilinear(g, v, v) is twice
+    the value of the quadratic form at v."""
     acc = 0
     for i in range(3):
         for j in range(3):
@@ -343,22 +329,15 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
                 line = normalize_projective(g[i])
                 return [line, line]
         raise AssertionError("rank-1 symmetric matrix with zero diagonal")
-    # rank 2: quotient by the kernel direction and factor a binary quadratic
+    # rank 2: quotient by the kernel direction and factor a binary quadratic;
+    # the unit vectors off the kernel's last nonzero entry complete a basis
     kernel = matrix_kernel(g)[0]
-    e_a = e_b = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            cand_a = tuple(Fraction(int(k == i)) for k in range(3))
-            cand_b = tuple(Fraction(int(k == j)) for k in range(3))
-            if not is_zero_scalar(det3((cand_a, cand_b, kernel))):
-                e_a, e_b = cand_a, cand_b
-                break
-        if e_a is not None:
-            break
+    last = max(i for i in range(3) if not is_zero_scalar(kernel[i]))
+    e_a, e_b = (tuple(int(k == i) for k in range(3)) for i in range(3) if i != last)
     alpha = bilinear(g, e_a, e_a)
     gamma = bilinear(g, e_b, e_b)
     beta = 2 * bilinear(g, e_a, e_b)
-    # q = alpha u^2 + beta u w + gamma w^2 in the dual coordinates (u, w)
+    # 2 q = alpha u^2 + beta u w + gamma w^2 in the dual coordinates (u, w)
     tmat = (e_a, e_b, kernel)
     tinv = inv3(tmat)
     u_form = tuple(tinv[i][0] for i in range(3))
@@ -511,7 +490,7 @@ def _projected_points(conics):
                 return None
             points.extend(over)
     # the centre [0,0,1] projects nowhere under (y0, y1); test it directly
-    centre = (Fraction(0), Fraction(0), Fraction(1))
+    centre = (0, 0, 1)
     if all(is_zero_scalar(q.evaluate(centre)) for q in conics):
         points.append(centre)
     return points
@@ -523,8 +502,7 @@ def _solve_y2(conics, u0, u1):
     polys = []
     for q in conics:
         c2, c1, c0 = _y2_profile(q)
-        coeffs = [c0.evaluate((u0, u1)), c1.evaluate((u0, u1)), c2 * 1]
-        p = UniPoly([promote_pair(u0, c)[1] for c in coeffs])
+        p = UniPoly([c0.evaluate((u0, u1)), c1.evaluate((u0, u1)), c2])
         if not p.is_zero():
             polys.append(p)
     if not polys:
@@ -536,11 +514,7 @@ def _solve_y2(conics, u0, u1):
     if isinstance(u1, NumberFieldElement) and h.degree == 2 \
             and not is_zero_scalar(h.coeffs[1] * h.coeffs[1] - 4 * h.coeffs[0]):
         return None
-    out = []
-    for root, _mult in uv_roots(h):
-        # a root in a new number field lifts the base point into that field
-        out.append((promote_pair(root, u0)[1], promote_pair(root, u1)[1], root))
-    return out
+    return [(u0, u1, root) for root, _mult in uv_roots(h)]
 
 
 # ---------------------------------------------------------------------------

@@ -502,21 +502,6 @@ class NumberFieldElement:
         return cls(mod, res)
 
 
-def promote_pair(a, b):
-    """Bring two scalars into a common field (rationals or one number field)."""
-    a_nf = isinstance(a, NumberFieldElement)
-    b_nf = isinstance(b, NumberFieldElement)
-    if a_nf and b_nf:
-        if a.modulus != b.modulus:
-            raise ValueError("cannot mix two distinct number fields")
-        return a, b
-    if a_nf:
-        return a, a._lift(as_fraction(b))
-    if b_nf:
-        return b._lift(as_fraction(a)), b
-    return as_fraction(a), as_fraction(b)
-
-
 def power(base, n: int, one):
     """base ** n for n >= 0 by square-and-multiply; `one` is the unit of base's ring."""
     result = one

@@ -88,8 +88,8 @@ def tangent_cone(f: BiPoly, P: Point) -> AffinePoly:
 
 def hessian_det(cone: AffinePoly):
     """Determinant of the matrix of second partials of a ternary quadratic
-    form: that matrix is twice the Gram matrix."""
-    return 8 * det3(conic_gram(cone))
+    form, which is its doubled Gram matrix."""
+    return det3(conic_gram(cone))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +466,8 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
 
 
 def _restricted_to_line(conic: AffinePoly, v1, v2) -> BinForm:
-    """Restrict a conic in y to the line {s v1 + t v2}: a binary quadratic
-    in (s, t)."""
+    """Twice the restriction of a conic in y to the line {s v1 + t v2}: a
+    binary quadratic in (s, t)."""
     g = conic_gram(conic)
     return BinForm(2, [bilinear(g, v1, v1), 2 * bilinear(g, v1, v2), bilinear(g, v2, v2)])
 

@@ -179,7 +179,20 @@ class TestExitCodes:
         assert run_cli("boundary", FIXTURES["stable_higher_sing"]).returncode == 3
 
     def test_zero_polynomial(self):
-        assert run_cli("classify", "{}").returncode == 3
+        # the zero polynomial has no bidegree, as text or as a map
+        assert run_cli("classify", "{}").returncode == 2
+        zeros = ("0*x0^2*y0^2", "x0^2*y0^2 - x0^2*y0^2", "{}", '{"2,0;2,0,0": "0"}')
+        for command in (("classify",), ("fibres",), ("factor",), ("singular-locus",),
+                        ("boundary",), ("mu", "--weight=-1,1;-1,0,1")):
+            for text in zeros:
+                code, out, err = run_in_process(*command, text)
+                assert (code, out) == (2, ""), (command, text)
+                assert err == "parse error: the zero polynomial has no bidegree\n"
+        cert = {"frame": {"g2": [["1", "0"], ["0", "1"]], "g3": [["1", "0", "0"], ["0", "1", "0"],
+                                                                ["0", "0", "1"]]},
+                "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}
+        out = run_cli("verify-cert", "--stdin", stdin=json.dumps({"input": {}, "certificate": cert}))
+        assert out.returncode == 2 and "zero polynomial" in out.stderr
 
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2

@@ -12,6 +12,7 @@ from biquadric.fibration import (
     PhiSigmaKind,
     binform_gcd,
     conic_coefficients,
+    conic_gram,
     conjugate,
     contracted_sections,
     discriminant,
@@ -23,6 +24,7 @@ from biquadric.fibration import (
     phi_sigma_constant,
     polar_rows,
     ramified_along,
+    restrict_x,
 )
 from biquadric.scalars import (
     NumberFieldElement,
@@ -93,6 +95,34 @@ class TestFibreMatrix:
         for _ in range(100):
             f = random_poly(rng, keep=0.6)
             assert poly_from_pencil(fibre_matrix(f)) == f
+
+    def test_pencil_is_the_fibre_conics_gram(self):
+        # One Gram convention: at every point the pencil is the doubled Gram
+        # matrix of the fibre conic, at rational points and at the
+        # number-field roots of the discriminant alike.
+        rng = random.Random(19)
+        irrational = 0
+        for keep in (1.0, 0.35):
+            for _ in range(15):
+                f = random_poly(rng, keep=keep)
+                pencil = fibre_matrix(f)
+                points = [(0, 1), (1, 0)] + [
+                    (rng.randint(-3, 3), Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+                    for _ in range(3)]
+                disc = discriminant(pencil)
+                if not disc.is_zero():
+                    points += [p1 for p1, _mult in disc.roots()]
+                for p1 in points:
+                    assert pencil.evaluate(p1) == conic_gram(restrict_x(f, p1)), (f, p1)
+                irrational += sum(isinstance(p1[1], NumberFieldElement) for p1 in points)
+        assert irrational >= 10
+
+    def test_integral_conics_have_integral_grams(self):
+        rng = random.Random(20)
+        for _ in range(50):
+            for q in conic_coefficients(random_poly(rng, lo=-5, hi=5, keep=0.6)):
+                assert all(type(c) is int for c in q.terms.values())
+                assert all(type(c) is int for row in conic_gram(q) for c in row), q
 
     def test_no_section_variable_kills_row(self):
         f = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*(y1^2+y2^2) + x1^2*(y1^2+y2^2)")
