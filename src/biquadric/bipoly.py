@@ -18,7 +18,6 @@ from .scalars import (
     format_scalar,
     is_zero_scalar,
     power,
-    scalar_inv,
 )
 
 X_VARS = ("x0", "x1")
@@ -535,10 +534,6 @@ class FrameChange:
     def identity(cls) -> "FrameChange":
         return cls(((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
-    def compose(self, other: "FrameChange") -> "FrameChange":
-        """The frame whose action equals acting by `other` then by `self`."""
-        return FrameChange(matmul(self.g2, other.g2), matmul(self.g3, other.g3))
-
     def __eq__(self, other):
         if not isinstance(other, FrameChange):
             return NotImplemented
@@ -546,14 +541,6 @@ class FrameChange:
 
     def __repr__(self):
         return f"FrameChange(g2={self.g2}, g3={self.g3})"
-
-
-def matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
 
 
 def det2(m):
@@ -566,6 +553,11 @@ def det3(m):
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def dot(u, v):
+    """Dot product of two 3-vectors: a line's value at a point."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def cross(u, v):
@@ -585,13 +577,6 @@ def adjugate3(m):
         return minor if (i + j) % 2 == 0 else -minor
 
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-
-
-def inv3(m):
-    d = det3(m)
-    di = scalar_inv(d)
-    adj = adjugate3(m)
-    return tuple(tuple(c * di for c in row) for row in adj)
 
 
 def linear_image(g, exps) -> dict:
@@ -645,11 +630,9 @@ def is_scalar_multiple(f, g) -> bool:
     AffinePoly)."""
     if set(f.terms) != set(g.terms):
         return False
-    ratio = None
-    for m, c in f.terms.items():
-        r = g.terms[m] * scalar_inv(c)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return False
-    return True
+    if not f.terms:
+        return True
+    m0, c0 = next(iter(f.terms.items()))
+    d0 = g.terms[m0]
+    # g[m] / f[m] = d0 / c0, cross-multiplied
+    return all(g.terms[m] * c0 == d0 * c for m, c in f.terms.items())

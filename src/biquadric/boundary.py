@@ -15,8 +15,9 @@ from typing import Optional, Tuple
 
 from .bipoly import BiPoly, FrameChange, act, is_scalar_multiple
 from .classifier import Certificate, MuSign
+from .fibration import normalize_projective
 from .oneps import LimitKind, limit
-from .scalars import is_zero_scalar, scalar_inv
+from .scalars import is_zero_scalar
 
 
 def moduli_dimension() -> int:
@@ -62,14 +63,6 @@ _G4_SUPPORT = frozenset(
 )
 
 
-def _projective_pair(u, v) -> Tuple[object, object]:
-    if is_zero_scalar(u) and is_zero_scalar(v):
-        raise ValueError("undefined projective coordinate")
-    pivot = u if not is_zero_scalar(u) else v
-    inv = scalar_inv(pivot)
-    return (u * inv, v * inv)
-
-
 def stratum_of(limit_poly: BiPoly) -> BoundaryPoint:
     """Locate a minimal-orbit limit on the boundary.
 
@@ -90,7 +83,7 @@ def stratum_of(limit_poly: BiPoly) -> BoundaryPoint:
         c01 = limit_poly.coefficient((0, 2, 1, 1, 0))
         if is_zero_scalar(b02):
             raise ValueError("not reducible to any stratum")
-        coord = _projective_pair(b11 * b02, c01 * a12)
+        coord = normalize_projective((b11 * b02, c01 * a12))
         return BoundaryPoint(Stratum.GAMMA2, coord, is_zero_scalar(coord[1]))
     if support <= _G3_SUPPORT:
         a22 = limit_poly.coefficient((2, 0, 0, 0, 2))
@@ -99,7 +92,7 @@ def stratum_of(limit_poly: BiPoly) -> BoundaryPoint:
         c00 = limit_poly.coefficient((0, 2, 2, 0, 0))
         if is_zero_scalar(b11):
             raise ValueError("not reducible to any stratum")
-        coord = _projective_pair(b02 * b02, a22 * c00)
+        coord = normalize_projective((b02 * b02, a22 * c00))
         return BoundaryPoint(Stratum.GAMMA3, coord, is_zero_scalar(coord[1]))
     if support <= _G4_SUPPORT:
         q1 = [limit_poly.coefficient(a + (0, 2, 0)) for a in ((2, 0), (1, 1), (0, 2))]
@@ -113,7 +106,7 @@ def stratum_of(limit_poly: BiPoly) -> BoundaryPoint:
         d1 = b * b - a * c * 4
         d2 = e * e - d * g * 4
         pairing = b * e - a * g * 2 - c * d * 2
-        coord = _projective_pair(d1 * d2, pairing * pairing - d1 * d2)
+        coord = normalize_projective((d1 * d2, pairing * pairing - d1 * d2))
         return BoundaryPoint(Stratum.GAMMA4, coord, is_zero_scalar(coord[1]))
     raise ValueError("not reducible to any stratum")
 

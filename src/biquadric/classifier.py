@@ -23,6 +23,7 @@ from .bipoly import (
     cross,
     det2,
     det3,
+    dot,
     moved_terms,
 )
 from .factorizer import Factor, bihomogeneous_factor
@@ -193,10 +194,6 @@ IDENTITY2 = ((1, 0), (0, 1))
 IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _line_value(line, p) -> object:
-    return sum((line[i] * p[i] for i in range(1, len(p))), line[0] * p[0])
-
-
 def _point_on_line(line, avoid=None):
     """A point of the projective line Z(line), not proportional to `avoid`."""
     for v in line_span(line):
@@ -206,9 +203,12 @@ def _point_on_line(line, avoid=None):
 
 
 def _complete_basis3(row0, row1):
-    for e in IDENTITY3:
-        if not is_zero_scalar(det3((row0, row1, e))):
-            return (tuple(row0), tuple(row1), e)
+    """row0, row1 and the unit vector e_i at the first nonzero entry of
+    row0 x row1, which is det(row0, row1, e_i)."""
+    normal = cross(row0, row1)
+    for i in range(3):
+        if not is_zero_scalar(normal[i]):
+            return (tuple(row0), tuple(row1), IDENTITY3[i])
     raise ValueError("rows do not span a plane")
 
 
@@ -223,7 +223,7 @@ def normalize_frame(f: BiPoly, flag: Flag) -> FrameChange:
     elif flag.line is None:
         g3 = completed_rows(flag.p)
     else:
-        if not is_zero_scalar(_line_value(flag.line, flag.p)):
+        if not is_zero_scalar(dot(flag.line, flag.p)):
             raise ValueError("alignment line does not pass through the point")
         g3 = _complete_basis3(flag.p, _point_on_line(flag.line, avoid=flag.p))
     if flag.x and flag.p is not None and not is_zero_scalar(f.evaluate(flag.x[0], flag.p)):
@@ -455,7 +455,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
         p1pt = cross(a, b)
         if all(is_zero_scalar(x) for x in p1pt):
             raise RuntimeError("degenerate (1,1) factor")
-        cp, dp = _line_value(c, p1pt), _line_value(d, p1pt)
+        cp, dp = dot(c, p1pt), dot(d, p1pt)
         if is_zero_scalar(cp) and is_zero_scalar(dp):
             raise RuntimeError(
                 "shared contracted point without a shared fibre")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bipoly import AffinePoly, BiPoly, Y_VARS, det3, inv3, is_scalar_multiple
+from .bipoly import AffinePoly, BiPoly, Y_VARS, cross, det3, dot, is_scalar_multiple
 from .scalars import (
     NumberFieldElement,
     UniPoly,
@@ -155,48 +155,29 @@ def discriminant(pencil: ConicPencil) -> BinForm:
 
 
 # ---------------------------------------------------------------------------
-# Scalar matrix utilities (small matrices over an exact field)
-
-
-def _row_reduce(m):
-    """Reduced row echelon form of a small matrix: (rows, pivot columns)."""
-    rows = [list(r) for r in m]
-    pivots: List[int] = []
-    for col in range(len(rows[0])):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        pivot = next((r for r in range(rank, len(rows)) if not is_zero_scalar(rows[r][col])), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = scalar_inv(rows[rank][col])
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not is_zero_scalar(rows[r][col]):
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def matrix_rank(m) -> int:
-    return len(_row_reduce(m)[1])
+# Linear algebra on 3-vectors: every matrix reduced here has three columns
 
 
 def matrix_kernel(m) -> List[Tuple[object, ...]]:
-    """Basis of the right kernel of a small matrix over an exact field."""
-    rows, pivots = _row_reduce(m)
-    basis = []
-    for fc in range(len(rows[0])):
-        if fc in pivots:
-            continue
-        vec = [0] * len(rows[0])
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    """Basis of the right kernel of a matrix with three columns over an exact
+    field, by cross and dot products: the unit vectors for the zero matrix,
+    `line_span` of the first nonzero row r at rank 1, and else r x s for the
+    first row s off r's line, unless some row leaves that plane (rank 3)."""
+    rows = [r for r in m if any(not is_zero_scalar(c) for c in r)]
+    if not rows:
+        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    r = rows[0]
+    for j in range(1, len(rows)):
+        normal = cross(r, rows[j])
+        if any(not is_zero_scalar(c) for c in normal):
+            if any(not is_zero_scalar(dot(t, normal)) for t in rows[j + 1:]):
+                return []
+            return [normal]
+    return list(line_span(r))
+
+
+def matrix_rank(m) -> int:
+    return 3 - len(matrix_kernel(m))
 
 
 def normalize_projective(coords):
@@ -338,10 +319,8 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
     gamma = bilinear(g, e_b, e_b)
     beta = 2 * bilinear(g, e_a, e_b)
     # 2 q = alpha u^2 + beta u w + gamma w^2 in the dual coordinates (u, w)
-    tmat = (e_a, e_b, kernel)
-    tinv = inv3(tmat)
-    u_form = tuple(tinv[i][0] for i in range(3))
-    w_form = tuple(tinv[i][1] for i in range(3))
+    # the first two columns of (e_a, e_b, kernel)^-1, up to its determinant
+    u_form, w_form = cross(e_b, kernel), cross(kernel, e_a)
 
     def combo(cu, cw):
         return normalize_projective(tuple(cu * u_form[i] + cw * w_form[i] for i in range(3)))
@@ -367,11 +346,15 @@ def line_divides_conic(line, q: AffinePoly) -> bool:
 
 
 def line_span(line):
-    """Two points spanning the line with coefficient triple `line`."""
-    kernel = matrix_kernel((line, (0, 0, 0), (0, 0, 0)))
-    if len(kernel) != 2:
+    """Two points spanning the line with coefficient triple `line`: the unit
+    vectors off its first nonzero coefficient, moved onto the line along
+    that coordinate."""
+    p = next((i for i in range(3) if not is_zero_scalar(line[i])), None)
+    if p is None:
         raise ValueError("degenerate line")
-    return kernel[0], kernel[1]
+    inv = scalar_inv(line[p])
+    return tuple(tuple(-(line[i] * inv) if k == p else int(k == i) for k in range(3))
+                 for i in range(3) if i != p)
 
 
 # ---------------------------------------------------------------------------

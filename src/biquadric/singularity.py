@@ -23,6 +23,7 @@ from .bipoly import (
     FrameChange,
     act,
     adjugate3,
+    cross,
     det3,
     is_scalar_multiple,
     linear_image,
@@ -429,7 +430,7 @@ def _rank_one_fibres(pencil) -> List[Tuple[object, object]]:
 
 def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
     m = pencil.evaluate(p1pt)
-    kernel = matrix_kernel(m)  # one row reduction gives the rank too
+    kernel = matrix_kernel(m)
     rank = 3 - len(kernel)
     points: List[Point] = []
     components: List[CurveComponent] = []
@@ -514,11 +515,9 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
             return FibreLine(p1pt, normalize_projective(line))
         return FibreConic(p1pt)
     if bd1 == (0, 1) and bd2 == (0, 1):
-        l1 = y_linear_coeffs(f1)
-        l2 = y_linear_coeffs(f2)
-        kernel = matrix_kernel((l1, l2, (0, 0, 0)))
-        if len(kernel) == 1:
-            return HorizontalSection(normalize_projective(kernel[0]))
+        p2 = cross(y_linear_coeffs(f1), y_linear_coeffs(f2))
+        if any(not is_zero_scalar(c) for c in p2):
+            return HorizontalSection(normalize_projective(p2))
         return PlaneCurveImage("coincident plane sections")
     return PlaneCurveImage(
         f"intersection curve of bidegree-{bd1} and bidegree-{bd2} components"

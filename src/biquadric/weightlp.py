@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .bipoly import BiMonomial, cross
+from .bipoly import BiMonomial, cross, dot
 from .oneps import Weight, monomial_weight
 
 # Normalization half-spaces in (r0, s0, s1): r0 <= 0, s0 <= s1, s1 <= s2.
@@ -32,10 +32,6 @@ _NORMALIZATION_NORMALS: Tuple[Tuple[int, int, int], ...] = (
 def support_normal(m: BiMonomial) -> Tuple[int, int, int]:
     """Normal of the half-space {weight(m) >= 0} in (r0, s0, s1) coordinates."""
     return (m[0] - m[1], m[2] - m[4], m[3] - m[4])
-
-
-def _dot(a, b) -> int:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _primitive(v) -> Optional[Tuple[int, int, int]]:
@@ -54,7 +50,7 @@ def _extreme_rays(normals: List[Tuple[int, int, int]]) -> List[Tuple[int, int, i
             if c is None:
                 continue
             for v in (c, (-c[0], -c[1], -c[2])):
-                if all(_dot(a, v) >= 0 for a in normals):
+                if all(dot(a, v) >= 0 for a in normals):
                     rays.add(v)
     return sorted(rays)
 
@@ -91,7 +87,7 @@ def _destabilizing_weight(support: FrozenSet[BiMonomial], strict: bool) -> Optio
         candidates.append(relint)
     if strict:
         candidates = [
-            v for v in candidates if all(_dot(a, v) > 0 for a in support_normals)
+            v for v in candidates if all(dot(a, v) > 0 for a in support_normals)
         ]
     candidates.sort()
     if not candidates:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from biquadric import classifier
-from biquadric.bipoly import BiPoly, FrameChange, act, inv3, parse
+from biquadric.bipoly import BiPoly, FrameChange, act, adjugate3, det3, parse
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
@@ -299,20 +299,23 @@ class TestRamifiedAlong:
 
 def moved_phi_sigma(f, p2):
     """Move p2 to [1, 0, 0]; the y0*y1 and y0*y2 coefficients of A, B and C
-    are the polar rows, and the line pulls back through the inverse frame."""
+    are the polar rows (padded with a zero y0 column, where a polar row at
+    [1, 0, 0] has its zero), and the line pulls back through the inverse
+    frame."""
     g = point_frame(((Fraction(1), Fraction(0)), p2))
     rows = []
     for q in conic_coefficients(act(g, f)):
         if not is_zero_scalar(q.coefficient((2, 0, 0))):
             raise ValueError("p2 is not a contracted-section point")
-        rows.append((q.coefficient((1, 1, 0)), q.coefficient((1, 0, 1))))
+        rows.append((0, q.coefficient((1, 1, 0)), q.coefficient((1, 0, 1))))
     rank = matrix_rank(rows)
     if rank == 0:
         return PhiSigma(PhiSigmaKind.UNDEFINED)
     if rank >= 2:
         return PhiSigma(PhiSigmaKind.NON_CONSTANT)
-    u, v = next(r for r in rows if not all(is_zero_scalar(c) for c in r))
-    g3inv = inv3(g.g3)
+    _, u, v = next(r for r in rows if not all(is_zero_scalar(c) for c in r))
+    d3 = det3(g.g3)
+    g3inv = tuple(tuple(x * scalar_inv(d3) for x in row) for row in adjugate3(g.g3))
     line = tuple(g3inv[i][1] * u + g3inv[i][2] * v for i in range(3))
     return PhiSigma(PhiSigmaKind.CONSTANT, normalize_projective(line))
 

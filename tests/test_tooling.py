@@ -166,6 +166,16 @@ def test_only_corank_two_germs_reach_the_local_algebra():
     assert {"rank == 3", "rank == 2"} <= returned
 
 
+def test_ranks_kernels_and_scalar_multiples_do_not_divide():
+    # Rank and kernel come from cross and dot products, and is_scalar_multiple
+    # cross-multiplies, so integer input stays in ints there.
+    callers = set()
+    for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), ("scalar_inv",))["scalar_inv"]
+    assert "normalize_projective" in callers
+    assert not callers & {"matrix_kernel", "matrix_rank", "is_scalar_multiple"}
+
+
 # Division sites in src/, as (module, enclosing function, source text).  Every
 # true division of two scalars is exact, through scalar_inv or Fraction(n, d):
 # "/" on two ints gives a float, so a "/" is allowed only with a Fraction(...)
