@@ -47,7 +47,7 @@ from .fibration import (
     restrict_x,
     split_conic,
 )
-from .oneps import Weight, monomial_weight, mu
+from .oneps import Weight, mu
 from .scalars import format_scalar, is_zero_scalar, primitive_integers
 from .singularity import (
     FibreLine,
@@ -513,11 +513,13 @@ def _random_rows(rng: random.Random, n: int):
 def random_destabilize_search(
     f: BiPoly, trials: int, seed: int
 ) -> Optional[Certificate]:
-    """Sample random frames and solve the weight cone over the transformed
-    support; returns the first verifying certificate (Positive preferred over
-    Zero per frame) or None.  Deterministic given the seed.  The frames are
-    integer, so each moved support is that of the moved integer multiple of
-    the rational f; a weight found is verified exactly."""
+    """Sample random frames and look up the transformed support in the
+    maximal M+ and M⊕ sets; returns the first verifying certificate (Positive
+    preferred over Zero per frame) or None.  Deterministic given the seed.
+    The frames are integer, so each moved support is that of the moved
+    integer multiple of the rational f; a weight found is verified exactly.
+    A weak match is tried only for a support in no M+ set, so its weight is
+    zero somewhere on the support: its sign is Zero."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     int_terms = dict(zip(f.terms, primitive_integers(f.terms.values())))
@@ -532,8 +534,7 @@ def random_destabilize_search(
             w = find_destabilizing_weight(support, strict)
             if w is None:
                 continue
-            value = min(monomial_weight(m, w) for m in support)
-            sign = MuSign.POSITIVE if value > 0 else MuSign.ZERO
+            sign = MuSign.POSITIVE if strict else MuSign.ZERO
             cert = Certificate(FrameChange(g2, g3), w, sign)
             if cert.verify(f):
                 return cert

@@ -71,10 +71,18 @@ def poly_to_map(f: BiPoly) -> dict:
     }
 
 
+def _coefficient(value) -> Fraction:
+    """A map coefficient: a string, as ``poly_to_map`` writes it, or a JSON
+    integer.  A boolean or a binary float is not read as a rational."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Fraction(value)
+    raise TypeError(f"coefficient {value!r} is not a string or an integer")
+
+
 def poly_from_map(data: dict) -> BiPoly:
     try:
-        terms = {_parse_monomial_key(k): Fraction(v) for k, v in data.items()}
-    except (AttributeError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        terms = {_parse_monomial_key(k): _coefficient(v) for k, v in data.items()}
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed coefficient map: {exc}") from exc
     f = BiPoly((2, 2), terms)
     if f.is_zero():

@@ -1,101 +1,42 @@
-"""Exact search for normalized weights that are positive on a monomial support.
+"""The paper's finite list of destabilizing weights, as a subset test.
 
-The normalized weights form a polyhedral cone in the three free coordinates
-(r0, s0, s1), with r1 = -r0 and s2 = -s0 - s1.  A monomial support adds one
-half-space per monomial.  The cone is pointed (the normalization inequalities
-alone force v = -v = 0), so it is the conic hull of its extreme rays, and in
-three dimensions every extreme ray arises as the cross product of the normals
-of two active constraints.  Enumerating those cross products gives a complete,
-exact feasibility test: a nonzero ray exists iff the weak problem is feasible,
-and the sum of all extreme rays lies in the relative interior, so it satisfies
-strictly every inequality that is not identically zero on the cone — which
-decides the strict problem.
+A normalized weight w destabilizes a monomial support strictly when the
+support lies in M+(w) (every monomial of positive weight) and weakly when it
+lies in M⊕(w) (nonnegative weight).  These sets are constant on the cells
+that the 18 monomial planes cut out of the normalized cone, so there are
+finitely many, and up to inclusion there are five maximal M+ sets and five
+maximal M⊕ sets.  A support is destabilized iff it lies in one of them.
+``tests/test_weightlp.py`` derives the list from the rays of that
+arrangement.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional
 
-from .bipoly import BiMonomial, cross, dot
-from .oneps import Weight, monomial_weight
+from .bipoly import BiMonomial
+from .oneps import Weight, m_oplus, m_plus
 
-# Normalization half-spaces in (r0, s0, s1): r0 <= 0, s0 <= s1, s1 <= s2.
-_NORMALIZATION_NORMALS: Tuple[Tuple[int, int, int], ...] = (
-    (-1, 0, 0),
-    (0, -1, 1),
-    (0, -1, -2),
-)
+# One weight per maximal set: a CLAUSES weight wherever one generates it.
+_STRICT = ("-2,2;-5,-1,6", "-3,3;-2,-2,4", "-4,4;-10,5,5",
+           "-1,1;-3,-3,6", "-3,3;-2,1,1")
+_WEAK = ("0,0;-1,0,1", "-1,1;-1,0,1", "-1,1;-2,0,2",
+         "-1,1;-4,2,2", "-1,1;0,0,0")
 
-
-def support_normal(m: BiMonomial) -> Tuple[int, int, int]:
-    """Normal of the half-space {weight(m) >= 0} in (r0, s0, s1) coordinates."""
-    return (m[0] - m[1], m[2] - m[4], m[3] - m[4])
-
-
-def _primitive(v) -> Optional[Tuple[int, int, int]]:
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    if g == 0:
-        return None
-    return (v[0] // g, v[1] // g, v[2] // g)
-
-
-def _extreme_rays(normals: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
-    rays: Set[Tuple[int, int, int]] = set()
-    n = len(normals)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = _primitive(cross(normals[i], normals[j]))
-            if c is None:
-                continue
-            for v in (c, (-c[0], -c[1], -c[2])):
-                if all(dot(a, v) >= 0 for a in normals):
-                    rays.add(v)
-    return sorted(rays)
-
-
-def _to_weight(v: Tuple[int, int, int]) -> Weight:
-    r0, s0, s1 = v
-    return Weight((r0, -r0), (s0, s1, -s0 - s1))
+MAXIMAL_SETS = {
+    True: [(w, frozenset(m_plus(w))) for w in map(Weight.parse, _STRICT)],
+    False: [(w, frozenset(m_oplus(w))) for w in map(Weight.parse, _WEAK)],
+}
 
 
 def find_destabilizing_weight(support: Iterable[BiMonomial], strict: bool) -> Optional[Weight]:
-    """A normalized nontrivial integer weight positive (strict) or nonnegative
-    (weak) on every monomial of the support, or None if none exists.
-
-    The returned witness is the lexicographically least primitive candidate,
-    so results are deterministic.  None is a proof of infeasibility.
-    """
+    """A normalized nontrivial weight positive (strict) or nonnegative (weak)
+    on every monomial of the support, or None if none exists: the first
+    weight of the list whose maximal set contains the support."""
     support = frozenset(support)
     if not support:
         raise ValueError("empty support")
-    return _destabilizing_weight(support, strict)
-
-
-# The witness search meets a few hundred (support, strict) pairs on dense forms.
-@lru_cache(maxsize=1024)
-def _destabilizing_weight(support: FrozenSet[BiMonomial], strict: bool) -> Optional[Weight]:
-    support_normals = sorted({support_normal(m) for m in support})
-    normals = list(_NORMALIZATION_NORMALS) + support_normals
-    rays = _extreme_rays(normals)
-    if not rays:
-        return None
-    relint = _primitive(tuple(sum(r[k] for r in rays) for k in range(3)))
-    candidates = list(rays)
-    if relint is not None and relint not in candidates:
-        candidates.append(relint)
-    if strict:
-        candidates = [
-            v for v in candidates if all(dot(a, v) > 0 for a in support_normals)
-        ]
-    candidates.sort()
-    if not candidates:
-        return None
-    w = _to_weight(candidates[0])
-    # Soundness re-check through the public weight arithmetic.
-    w.require_normalized_nontrivial()
-    for m in support:
-        value = monomial_weight(m, w)
-        assert value > 0 if strict else value >= 0
-    return w
+    for w, monomials in MAXIMAL_SETS[strict]:
+        if support <= monomials:
+            return w
+    return None

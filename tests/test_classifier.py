@@ -23,9 +23,9 @@ from biquadric.factorizer import bihomogeneous_factor
 from biquadric.oneps import Weight, mu
 from biquadric.scalars import NumberFieldElement
 from biquadric.singularity import singular_locus
-from biquadric.weightlp import _destabilizing_weight
 from conftest import EXPECTED_CLASS, random_poly, random_unimodular, substitution_act
 from make_golden import CORPUS_PATH
+from weightlp_reference import destabilizing_weight
 
 W = Weight.parse
 
@@ -325,15 +325,14 @@ class TestRandomSearch:
     @staticmethod
     def reference_search(f, trials, seed):
         """The search on Fraction frames, with the substitution action and
-        the uncached weight LP, drawing the same frames."""
-        lp = _destabilizing_weight.__wrapped__
+        the weight cone LP, drawing the same frames."""
         rng = random.Random(seed)
         for trial in range(trials):
             frame = FrameChange.identity() if trial == 0 else FrameChange(
                 classifier._random_rows(rng, 2), classifier._random_rows(rng, 3))
             moved = substitution_act(frame, f)
             for strict in (True, False):
-                w = lp(frozenset(moved.terms), strict)
+                w = destabilizing_weight(moved.terms, strict)
                 if w is None:
                     continue
                 sign = MuSign.POSITIVE if mu(moved, w) > 0 else MuSign.ZERO
@@ -358,8 +357,17 @@ class TestRandomSearch:
             for seed in range(3):
                 for f in forms:
                     cert = random_destabilize_search(f, trials, seed)
-                    assert cert == self.reference_search(f, trials, seed)
+                    expected = self.reference_search(f, trials, seed)
                     found += cert is not None
+                    if expected is None:
+                        assert cert is None
+                        continue
+                    # Both stop at the first trial that finds a weight, so
+                    # the same frame is the same trial.  The table and the
+                    # LP may pick different weights for it.
+                    assert cert.frame == expected.frame
+                    assert cert.claimed_mu_sign is expected.claimed_mu_sign
+                    assert cert.verify(f) and expected.verify(f)
         assert found > 100
 
 

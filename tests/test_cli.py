@@ -194,6 +194,27 @@ class TestExitCodes:
         out = run_cli("verify-cert", "--stdin", stdin=json.dumps({"input": {}, "certificate": cert}))
         assert out.returncode == 2 and "zero polynomial" in out.stderr
 
+    def test_map_coefficients_are_strings_or_integers(self, monkeypatch):
+        # JSON true would read as 1 and 0.1 as the binary float nearest 1/10
+        cert = {"frame": {"g2": [["1", "0"], ["0", "1"]], "g3": [["1", "0", "0"], ["0", "1", "0"],
+                                                                ["0", "0", "1"]]},
+                "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}
+        for value in ("true", "false", "0.1", "1.0", "1e400"):
+            text = '{"2,0;2,0,0": %s}' % value
+            for command in (("classify",), ("fibres",), ("factor",), ("singular-locus",),
+                            ("boundary",), ("mu", "--weight=-1,1;-1,0,1")):
+                code, out, err = run_in_process(*command, text)
+                assert (code, out) == (2, ""), (command, text)
+                assert err.startswith("parse error: malformed coefficient map"), err
+        for data in ({"2,0;2,0,0": True}, {"2,0;2,0,0": 0.5}, {"2,0;2,0,0": "abc"}, {"2,0": "1"}):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"input": data, "certificate": cert})))
+            code, out, err = run_in_process("verify-cert", "--stdin")
+            assert (code, out) == (2, ""), data
+            assert err.startswith("parse error: malformed coefficient map"), err
+        code, out, _ = run_in_process("classify", "--json", '{"2,0;2,0,0": "1/10", "0,2;0,0,2": 3}')
+        assert code == 0
+        assert json.loads(out)["input"] == {"0,2;0,0,2": "3", "2,0;2,0,0": "1/10"}
+
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2
 

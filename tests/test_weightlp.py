@@ -1,11 +1,21 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from biquadric.bipoly import all_monomials
-from biquadric.oneps import Weight, m_plus, monomial_weight
-from biquadric.weightlp import _destabilizing_weight, find_destabilizing_weight
+from biquadric.bipoly import BiPoly, all_monomials, cross, dot
+from biquadric.classifier import StabilityClass, classify
+from biquadric.oneps import Weight, m_oplus, m_plus, monomial_weight
+from biquadric.weightlp import MAXIMAL_SETS, find_destabilizing_weight
+from test_oneps import STRICT_WEIGHTS, ZERO_WEIGHTS
+from weightlp_reference import (
+    NORMALIZATION_NORMALS,
+    destabilizing_weights,
+    primitive,
+    support_normal,
+    to_weight,
+)
 
 MONOS = list(all_monomials())
 
@@ -110,17 +120,96 @@ class TestDeterminism:
             assert a == b
 
 
-class TestCache:
-    def test_cached_answers_match_uncached(self):
-        _destabilizing_weight.cache_clear()
+class TestDerivation:
+    """The maximal sets follow from the rays of the arrangement of the 18
+    monomial planes and the 3 normalization planes.  M+ and M⊕ are constant on
+    each face of the arrangement in the normalized cone, and a face of
+    dimension d holds the sum of any d independent rays of it, so M+ and M⊕
+    of the sums of one to three rays take every value that they take on a
+    normalized weight."""
+
+    @staticmethod
+    def rays():
+        normals = list(NORMALIZATION_NORMALS) + sorted({support_normal(m) for m in MONOS})
+        rays = set()
+        for a, b in itertools.combinations(normals, 2):
+            c = primitive(cross(a, b))
+            if c is None:
+                continue
+            for v in (c, tuple(-x for x in c)):
+                if all(dot(n, v) >= 0 for n in NORMALIZATION_NORMALS):
+                    rays.add(v)
+        return sorted(rays)
+
+    def test_fourteen_rays(self):
+        assert len(self.rays()) == 14
+
+    def test_maximal_sets(self):
+        plus, oplus = set(), set()
+        rays = self.rays()
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(rays, k):
+                w = to_weight(tuple(sum(v[i] for v in combo) for i in range(3)))
+                plus.add(frozenset(m_plus(w)))
+                oplus.add(frozenset(m_oplus(w)))
+        for strict, sets in ((True, plus), (False, oplus)):
+            maximal = {s for s in sets if not any(s < t for t in sets)}
+            table = [monomials for _, monomials in MAXIMAL_SETS[strict]]
+            assert len(table) == len(set(table)) == len(maximal) == 5
+            assert set(table) == maximal
+
+    def test_each_weight_generates_its_set(self):
+        for strict, generated in ((True, m_plus), (False, m_oplus)):
+            for w, monomials in MAXIMAL_SETS[strict]:
+                assert frozenset(generated(w)) == monomials
+
+
+class TestReference:
+    """The table against the weight cone LP it replaced, on feasibility."""
+
+    @staticmethod
+    def agree(support):
+        expected = destabilizing_weights(support)
+        for strict in (True, False):
+            got = find_destabilizing_weight(support, strict)
+            assert (got is None) == (expected[strict] is None), (sorted(support), strict)
+            if got is not None:
+                check_witness(got, support, strict)
+
+    def test_random_supports(self):
         rng = random.Random(31)
-        supports = [frozenset(rng.sample(MONOS, rng.randint(1, 18))) for _ in range(500)]
-        uncached = {(s, strict): _destabilizing_weight.__wrapped__(s, strict)
-                    for s in supports for strict in (True, False)}
-        # once to fill the cache, once more to read it back
-        for _ in range(2):
-            for (support, strict), expected in uncached.items():
-                assert find_destabilizing_weight(set(support), strict) == expected
-        assert _destabilizing_weight.cache_info().hits >= len(uncached)
-        answers = list(uncached.values())
-        assert None in answers and any(w is not None for w in answers)
+        for _ in range(40000):
+            self.agree(rng.sample(MONOS, rng.randint(1, 18)))
+
+    def test_supports_around_the_maximal_sets(self):
+        for sets in MAXIMAL_SETS.values():
+            for _, monomials in sets:
+                self.agree(monomials)
+                for m in monomials:
+                    self.agree(monomials - {m})
+                for m in set(MONOS) - monomials:
+                    self.agree(monomials | {m})
+
+
+class TestPaperList:
+    """Modulo the group, the ten sets are the paper's four strict and four
+    zero weights: a generic member of an M+ set is Unstable, one of an M⊕ set
+    is not Stable, and every certificate weight is on the paper's list."""
+
+    def test_generic_members(self):
+        paper = {Weight.parse(t) for t in STRICT_WEIGHTS + ZERO_WEIGHTS}
+        rng = random.Random(37)
+        for strict, sets in MAXIMAL_SETS.items():
+            for _, monomials in sets:
+                for _ in range(10):
+                    f = BiPoly((2, 2), {
+                        m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+                        for m in sorted(monomials)
+                    })
+                    verdict = classify(f)
+                    if strict:
+                        assert verdict.stability is StabilityClass.UNSTABLE
+                    else:
+                        assert verdict.stability is not StabilityClass.STABLE
+                    assert verdict.certificate.weight in paper
+                    assert verdict.certificate.verify(f)
