@@ -8,11 +8,15 @@ monomial-to-coefficient map over an exact scalar field.
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .scalars import (
     NumberFieldElement,
+    ParseError,
     as_fraction,
     as_scalar,
     format_scalar,
@@ -332,22 +336,13 @@ class BiPoly:
 
 
 def all_monomials(bidegree: Tuple[int, int] = (2, 2)):
-    """The monomial basis of the given bidegree (18 monomials for (2,2))."""
-    d1, d2 = bidegree
-    out = []
-    for a0 in range(d1, -1, -1):
-        for b0 in range(d2, -1, -1):
-            for b1 in range(d2 - b0, -1, -1):
-                out.append((a0, d1 - a0, b0, b1, d2 - b0 - b1))
-    return out
+    """The monomial basis of the given bidegree (18 monomials for (2,2)),
+    x-monomials outer, each part lexicographically descending."""
+    return [a + b for a in monomial_basis(2, bidegree[0])[0] for b in monomial_basis(3, bidegree[1])[0]]
 
 
 # ---------------------------------------------------------------------------
 # Parsing
-
-
-class ParseError(ValueError):
-    pass
 
 
 class _Parser:
@@ -445,12 +440,17 @@ class _Parser:
         if self._peek() == "^":
             self.pos += 1
             self._skip_ws()
-            digits = self._digits()
+            start, digits = self.pos, self._digits()
             if not digits:
                 raise ParseError(f"expected exponent at position {self.pos}")
             n = int(digits)
             if _degree(base) > 0:
                 self._check_degree(_degree(base) * n)
+            elif _degree(base) == 0:  # refuse a power of a constant that no output could print
+                c = as_fraction(base.terms[(0,) * 5] if isinstance(base, AffinePoly) else base[0])
+                limit = sys.get_int_max_str_digits() or math.inf
+                if n * math.log10(max(abs(c.numerator), c.denominator)) >= limit:
+                    raise ParseError(f"the power at position {start} would have more than {limit} digits")
             base = base ** n if isinstance(base, AffinePoly) else (base[0] ** n, tuple(e * n for e in base[1]))
         return base * sign if isinstance(base, AffinePoly) else (base[0] * sign, base[1])
 
@@ -579,43 +579,83 @@ def adjugate3(m):
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
-def linear_image(g, exps) -> dict:
-    """Terms of the product over k of (sum_i g[i][k] v_i) ** exps[k]."""
-    out = {(0,) * len(g): 1}
-    for k, e in enumerate(exps):
-        column = [(i, g[i][k]) for i in range(len(g)) if g[i][k]]
-        for _ in range(e):
-            nxt: dict = {}
-            for m, c in out.items():
-                for i, gik in column:
-                    key = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                    nxt[key] = nxt.get(key, 0) + c * gik
-            out = nxt
-    return out
+@functools.lru_cache(maxsize=None)
+def monomial_basis(n: int, d: int):
+    """The degree-d monomials in n variables, lexicographically descending,
+    and the position of each."""
+    monos = ((d,),) if n == 1 else tuple(
+        (k,) + m for k in range(d, -1, -1) for m in monomial_basis(n - 1, d - k)[0])
+    return monos, {m: r for r, m in enumerate(monos)}
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_table(n: int, d: int):
+    """The index table that builds Sym^d(g) from Sym^(d-1)(g): each degree-d
+    monomial m as (the position of m / v_k, k), v_k its first variable, and
+    each degree-(d-1) monomial's positions times v_0, ..., v_(n-1)."""
+    (low, low_position), (high, position) = monomial_basis(n, d - 1), monomial_basis(n, d)
+    step = lambda m, i, e: m[:i] + (m[i] + e,) + m[i + 1:]  # noqa: E731
+    firsts = [next(i for i, e in enumerate(m) if e) for m in high]
+    return (tuple((low_position[step(m, k, -1)], k) for m, k in zip(high, firsts)),
+            tuple(tuple(position[step(m, i, 1)] for i in range(n)) for m in low))
+
+
+def sym_power(g, d: int):
+    """Sym^d(g): row r holds the image of the r-th degree-d monomial (in
+    ``monomial_basis`` order) under v_k -> sum_i g[i][k] v_i, built from
+    Sym^(d-1)(g) one variable at a time; zero entries are skipped."""
+    n = len(g)
+    columns = [[(i, g[i][k]) for i in range(n) if g[i][k]] for k in range(n)]
+    rows = [[1]]
+    for e in range(1, d + 1):
+        quotients, products = _lift_table(n, e)
+        lifted = []
+        for j, k in quotients:
+            row = [0] * len(quotients)
+            for s, c in enumerate(rows[j]):
+                if c:
+                    for i, gik in columns[k]:
+                        row[products[s][i]] += c * gik
+            lifted.append(row)
+        rows = lifted
+    return rows
 
 
 def moved_terms(g2, g3, terms: Mapping[BiMonomial, object]) -> dict:
-    """The terms of f(x * g2, y * g3), that is Sym(g2)^T . C . Sym(g3) on f's
-    coefficient matrix C: each x-part's y-form is moved once, from memoized
-    y-monomial images, into its x-monomial's image.  Scalars are ints (which
-    stay machine integers), Fractions or number-field elements."""
-    y_forms: dict = {}
+    """The terms of f(x * g2, y * g3), f of any bidegree (d1, d2): the matrix
+    product Sym^d1(g2)^T . C . Sym^d2(g3) on f's coefficient matrix C (rows
+    x-monomials, columns y-monomials), skipping zero entries.  Scalars are
+    ints (which stay machine integers), Fractions or number-field elements."""
+    if not terms:
+        return {}
+    first = next(iter(terms))
+    d1, d2 = first[0] + first[1], sum(first[2:])
+    (xs, x_position), (ys, y_position) = monomial_basis(2, d1), monomial_basis(3, d2)
+    s2, s3 = sym_power(g2, d1), sym_power(g3, d2)
+    moved_y: dict = {}  # the rows of C . Sym(g3), by x-monomial
     for m, c in terms.items():
-        y_forms.setdefault(m[:2], []).append((m[2:], c))
-    y_images: dict = {}
-    out: dict = {}
-    for xa, y_form in y_forms.items():
-        moved_y: dict = {}
-        for yb, c in y_form:
-            if yb not in y_images:
-                y_images[yb] = linear_image(g3, yb)
-            for ye, v in y_images[yb].items():
-                moved_y[ye] = moved_y.get(ye, 0) + c * v
-        for xe, u in linear_image(g2, xa).items():
-            for ye, v in moved_y.items():
-                key = xe + ye
-                out[key] = out.get(key, 0) + u * v
-    return {m: c for m, c in out.items() if c}
+        row = moved_y.setdefault(x_position[m[:2]], [0] * len(ys))
+        for b, s in enumerate(s3[y_position[m[2:]]]):
+            if s:
+                row[b] += c * s
+    out = [[0] * len(ys) for _ in xs]
+    for a, row in moved_y.items():
+        for target, s in zip(out, s2[a]):
+            if s:
+                for b, t in enumerate(row):
+                    if t:
+                        target[b] += s * t
+    return {xs[a] + ys[b]: c for a, row in enumerate(out) for b, c in enumerate(row) if c}
+
+
+def moved_form(g, poly: AffinePoly) -> AffinePoly:
+    """poly(v * g) for poly in three variables: each homogeneous part moves
+    through Sym^k(g) as a form of bidegree (0, k)."""
+    parts: dict = {}
+    for e, c in poly.terms.items():
+        parts.setdefault(sum(e), {})[(0, 0) + e] = c
+    moved = (moved_terms(((1, 0), (0, 1)), g, part) for part in parts.values())
+    return AffinePoly(poly.vars, {m[2:]: c for terms in moved for m, c in terms.items()})
 
 
 def act(g: FrameChange, f: BiPoly) -> BiPoly:

@@ -29,7 +29,7 @@ from .classifier import (
 from .factorizer import bihomogeneous_factor
 from .fibration import discriminant, fibre_matrix, fibre_rank
 from .oneps import LimitKind, Weight, limit, m_oplus, m_plus, mu
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar, read_rational
 from .singularity import (
     FibreConic,
     FibreLine,
@@ -75,7 +75,7 @@ def _coefficient(value) -> Fraction:
     """A map coefficient: a string, as ``poly_to_map`` writes it, or a JSON
     integer.  A boolean or a binary float is not read as a rational."""
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return Fraction(value)
+        return read_rational(str(value))
     raise TypeError(f"coefficient {value!r} is not a string or an integer")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bipoly import AffinePoly, BiPoly, Y_VARS, cross, det3, dot, is_scalar_multiple
+from .bipoly import AffinePoly, BiPoly, Y_VARS, cross, det3, dot, is_scalar_multiple, moved_form
 from .scalars import (
     NumberFieldElement,
     UniPoly,
@@ -433,10 +433,9 @@ def _common_conic_points(conics):
     most 6 such lines each meet the conic of centres y0^2 = y1 y2 at most
     twice, so some k <= 12 separates them.
     """
-    y0, y1, y2 = (AffinePoly.variable(Y_VARS, v) for v in Y_VARS)
     for k in range(13):
-        shear = {"y0": y0 + y2 * k, "y1": y1 + y2 * (k * k)}
-        points = _projected_points([q.substitute(shear) for q in conics] if k else conics)
+        shear = ((1, 0, 0), (0, 1, 0), (k, k * k, 1))
+        points = _projected_points([moved_form(shear, q) for q in conics] if k else conics)
         if points is None:
             continue
         unique = []

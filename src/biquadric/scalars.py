@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
@@ -19,6 +20,22 @@ Scalar = Union[int, Fraction, "NumberFieldElement"]
 
 FACTOR_DEGREE_CAP = 12
 MODULUS_DEGREE_CAP = 6
+
+
+_EXPONENT_LITERAL = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
+
+
+class ParseError(ValueError):
+    pass
+
+
+def read_rational(text: str) -> Fraction:
+    """The one reader of a rational scalar literal ("-7/3", "2", "0.5").  A
+    literal that Fraction reads with an exponent, such as "1e3000000", is
+    refused: it builds 10^e exactly, and ``format_scalar`` never writes one."""
+    if _EXPONENT_LITERAL.fullmatch(text):
+        raise ParseError(f"exponent forms such as {text.strip()[:40]!r} are not scalar literals")
+    return Fraction(text)
 
 
 def as_fraction(c) -> Fraction:
@@ -497,8 +514,8 @@ class NumberFieldElement:
     @classmethod
     def parse(cls, text: str) -> "NumberFieldElement":
         res_part, mod_part = text.split("] mod [")
-        res = [Fraction(c) for c in res_part.strip().lstrip("[").split()]
-        mod = [Fraction(c) for c in mod_part.strip().rstrip("]").split()]
+        res = [read_rational(c) for c in res_part.strip().lstrip("[").split()]
+        mod = [read_rational(c) for c in mod_part.strip().rstrip("]").split()]
         return cls(mod, res)
 
 
@@ -555,4 +572,4 @@ def parse_scalar(text: str):
     text = text.strip()
     if "mod" in text:
         return NumberFieldElement.parse(text)
-    return Fraction(text)
+    return read_rational(text)

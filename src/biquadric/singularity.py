@@ -26,7 +26,7 @@ from .bipoly import (
     cross,
     det3,
     is_scalar_multiple,
-    linear_image,
+    moved_form,
 )
 from .factorizer import bihomogeneous_factor
 from .fibration import (
@@ -231,11 +231,7 @@ def _splitting_type(local: AffinePoly, gram, cutoff: int) -> LocalType:
     _check_germ(local, cutoff)
     # coordinates (w, u, v) with the cone's kernel as the w-axis
     rows = completed_rows(matrix_kernel(gram)[0])
-    terms: dict = {}
-    for e, c in local.terms.items():
-        for m, x in linear_image(rows, e).items():
-            terms[m] = terms.get(m, 0) + c * x
-    f = AffinePoly(("w", "u", "v"), terms)
+    f = AffinePoly(("w", "u", "v"), moved_form(rows, local).terms)
     grad = (f.partial("u"), f.partial("v"))
     a, b, d = (f.coefficient(e) for e in ((0, 2, 0), (0, 1, 1), (0, 0, 2)))
     inv = scalar_inv(4 * a * d - b * b)

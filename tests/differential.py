@@ -1,9 +1,10 @@
 """Differential runner: the CLI's output over a fixed seeded corpus.
 
-Every corpus input runs in-process through ``cli.run`` under six commands:
-``classify --json``, ``singular-locus`` at cutoffs 10 and 3, ``fibres``,
-``factor`` and ``boundary``.  The runner prints one digest per run (of its
-exit code, stdout and stderr) and a total digest over all runs.
+Every corpus input runs in-process through ``cli.run`` under seven commands:
+``classify --json``, the witness search ``classify --json --trials 4 --seed
+1``, ``singular-locus`` at cutoffs 10 and 3, ``fibres``, ``factor`` and
+``boundary``.  The runner prints one digest per run (of its exit code,
+stdout and stderr) and a total digest over all runs.
 
 With ``--against OTHER_CHECKOUT`` it also runs the same corpus in a
 subprocess on OTHER_CHECKOUT's ``src``, lists every run whose stdout, stderr
@@ -35,6 +36,7 @@ from pathlib import Path
 
 COMMANDS = (
     ("classify", "--json"),
+    ("classify", "--json", "--trials", "4", "--seed", "1"),
     ("singular-locus", "--cutoff", "10"),
     ("singular-locus", "--cutoff", "3"),
     ("fibres",),
@@ -67,9 +69,15 @@ def corpus_inputs():
 
 
 def corpus_runs():
-    """(label, argv) for every run: each corpus input under each command."""
-    return [(f"{name} {' '.join(command)}", [*command, "--", text])
-            for name, text in corpus_inputs() for command in COMMANDS]
+    """(label, argv) for every run: each corpus input under each command.
+    The k-th input's runs start at command k (mod their number), so that every
+    seventh run, the Tier-1 slice, still covers every command."""
+    runs = []
+    for k, (name, text) in enumerate(corpus_inputs()):
+        k %= len(COMMANDS)
+        runs += [(f"{name} {' '.join(command)}", [*command, "--", text])
+                 for command in COMMANDS[k:] + COMMANDS[:k]]
+    return runs
 
 
 def run(argv):

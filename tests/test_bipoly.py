@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biquadric.bipoly import (
+    AffinePoly,
     BiPoly,
     FrameChange,
     ParseError,
@@ -13,11 +14,14 @@ from biquadric.bipoly import (
     all_monomials,
     det2,
     det3,
+    moved_form,
+    moved_terms,
     parse,
 )
 from biquadric.classifier import _random_rows
 from biquadric.scalars import NumberFieldElement
 from biquadric.singularity import point_frame
+import act_reference
 from conftest import random_poly, random_unimodular, substitution_act
 
 MONOS = list(all_monomials())
@@ -71,6 +75,18 @@ class TestParse:
     ], ids=["after-plus", "after-minus", "after-times"])
     def test_unary_minus_after_binary_operator(self, text, expected):
         assert parse(text) == parse(expected)
+
+    @pytest.mark.parametrize("text", ["3^30000000*x0^2*y0^2", "(3)^30000000*x0^2*y0^2",
+                                      "2^15000*x0^2*y0^2", "(1/2)^15000*x0^2*y0^2"])
+    def test_constant_power_beyond_the_digit_limit(self, text):
+        # 2^15000 has 4516 digits, above the interpreter's default 4300
+        with pytest.raises(ParseError, match=f"power at position {text.index('^') + 1} "):
+            parse(text)
+
+    @pytest.mark.parametrize("text", ["2^14000*x0^2*y0^2", "1^99999999999*x0^2*y0^2",
+                                      "(-1)^99999999999*x0^2*y0^2", "(x0*y0)^2"])
+    def test_constant_power_within_the_digit_limit(self, text):
+        assert parse(text).bidegree == (2, 2)
 
     def test_round_trip_corpus(self):
         rng = random.Random(5)
@@ -133,6 +149,43 @@ class TestAct:
             f = BiPoly(bidegree, {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in monos})
             g = random_unimodular(rng)
             assert act(g, f) == substitution_act(g, f)
+
+
+class TestKernelReference:
+    """moved_terms, the symmetric-power product, against the dict-accumulating
+    move it replaced (tests/act_reference.py): equal terms, each of the same
+    scalar type."""
+
+    @staticmethod
+    def _typed(terms):
+        return {m: (type(c), c) for m, c in terms.items()}
+
+    @pytest.mark.parametrize("field", ["integer", "fraction", "number-field"])
+    def test_matches_reference_in_every_bidegree(self, field):
+        rng = random.Random(f"kernel/{field}")
+        sqrt2 = NumberFieldElement((-2, 0, 1), (0, 1))
+        entry = {"integer": lambda: rng.randint(-3, 3),
+                 "fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                 "number-field": lambda: rng.randint(-2, 2) + sqrt2 * rng.randint(-1, 1)}[field]
+        for d1 in range(5):
+            for d2 in range(5):
+                for keep in (0.3, 1.0):  # sparse and dense forms
+                    terms = {m: rng.choice((-1, 1)) * rng.randint(1, 9)
+                             for m in all_monomials((d1, d2)) if rng.random() < keep}
+                    g2, g3 = ([[entry() for _ in range(n)] for _ in range(n)] for n in (2, 3))
+                    assert self._typed(moved_terms(g2, g3, terms)) == \
+                        self._typed(act_reference.moved_terms(g2, g3, terms))
+
+    def test_moved_form_matches_reference(self):
+        rng = random.Random("kernel/form")
+        for _ in range(40):
+            poly = AffinePoly(("w", "u", "v"), {
+                (a, b, c): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for a in range(5) for b in range(5 - a) for c in range(5 - a - b) if rng.random() < 0.4})
+            g = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
+            moved = moved_form(g, poly)
+            assert moved.vars == poly.vars
+            assert self._typed(moved.terms) == self._typed(act_reference.moved_form(g, poly).terms)
 
 
 class TestPartial:

@@ -255,11 +255,19 @@ class TestExitCodes:
         (("classify", "(x0+x1+y0+y1+y2)^20"), None, 2, "product of total degree 20"),
         (("mu", "--weight=-1,1;-1,0,1", "x0*y0"), None, 2, "does not match bidegree (2, 2)"),
         (("classify", "x0*y0"), None, 2, "does not match bidegree (2, 2)"),
+        (("mu", "--weight=-1,1;-1,0,1", '{"2,0;2,0,0": "1e3000000"}'), None, 2,
+         "exponent forms such as '1e3000000'"),
+        (("verify-cert", "--stdin"), {"frame": {"g2": [["1e9", "0"], ["0", "1"]],
+                                                "g3": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                                      "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 2, "exponent"),
+        (("classify", "3^30000000*x0^2*y0^2"), None, 2,
+         "the power at position 2 would have more than"),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
             "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
             "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative",
-            "degree-above-four", "mu-bidegree-1-1", "classify-bidegree-1-1"])
+            "degree-above-four", "mu-bidegree-1-1", "classify-bidegree-1-1",
+            "exponent-coefficient", "cert-exponent-entry", "power-beyond-digit-limit"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code, err):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:

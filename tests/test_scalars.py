@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from biquadric.scalars import (
     NumberFieldElement,
+    ParseError,
     UniPoly,
     _Field,
     format_scalar,
     parse_scalar,
+    read_rational,
     scalar_inv,
     squarefree_part,
     uv_factorize,
@@ -173,6 +175,28 @@ class TestFormatting:
         t = generator(-2, 0, 1)
         x = t * Fraction(3, 2) + 5
         assert parse_scalar(format_scalar(x)) == x
+
+
+class TestReadRational:
+    @pytest.mark.parametrize("text", ["1e3000000", "1E5", " -2.5e-3 ", ".5e1", "1_0e1"])
+    def test_exponent_forms_refused(self, text):
+        with pytest.raises(ParseError, match="exponent"):
+            read_rational(text)
+        with pytest.raises(ParseError, match="exponent"):
+            parse_scalar(text)
+        with pytest.raises(ParseError, match="exponent"):
+            parse_scalar(f"[0 {text}] mod [-2 0 1]")
+
+    def test_plain_literals(self):
+        assert read_rational(" -7/3 ") == Fraction(-7, 3)
+        assert read_rational("2.5") == Fraction(5, 2)
+        assert read_rational("4") == 4
+
+    def test_other_malformed_text_is_no_parse_error(self):
+        # a word with an "e" in it stays the ValueError it was
+        with pytest.raises(ValueError) as exc:
+            read_rational("hello")
+        assert not isinstance(exc.value, ParseError)
 
 
 def _xgcd(a: UniPoly, b: UniPoly):

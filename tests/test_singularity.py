@@ -40,6 +40,7 @@ from biquadric.singularity import (
     singular_locus,
     tangent_cone,
 )
+import act_reference
 from conftest import FIXTURES, pool_forms, random_poly, random_unimodular
 from make_golden import CORPUS_PATH
 
@@ -465,11 +466,14 @@ class TestSplittingLemma:
     algebra's, on both sides of the NonIsolatedSuspected(cutoff) boundary."""
 
     @pytest.mark.parametrize("cutoff", [10, 3])
-    def test_golden_corpus_points(self, cutoff):
+    def test_golden_corpus_points(self, cutoff, monkeypatch):
         germs = _corank_one_germs(_golden_records())
         labels = [classify_local(g, cutoff).label for g in germs]
         assert labels == [_algebra_type(g, cutoff) for g in germs]
         assert "A3" in labels and ("A5" if cutoff == 10 else "NonIsolatedSuspected(3)") in labels
+        # the same labels when the germ moves by the reference move
+        monkeypatch.setattr(singularity, "moved_form", act_reference.moved_form)
+        assert [classify_local(g, cutoff).label for g in germs] == labels
 
     def test_fixtures_under_frames(self):
         germs = _corank_one_germs(_fixture_records())
