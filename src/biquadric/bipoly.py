@@ -382,6 +382,12 @@ class _Parser:
             raise ParseError(f"trailing input at position {self.pos} in {self.text!r}")
         # a rational literal can leave an integral Fraction behind
         p.terms = {e: as_scalar(c) for e, c in p.terms.items()}
+        # refuse a coefficient that no output could print, however it arose;
+        # a number of more than `limit` digits has more than 3 * limit bits
+        limit = sys.get_int_max_str_digits()
+        tops = (max(abs(c.numerator), c.denominator) for c in p.terms.values())
+        if limit and any(t.bit_length() > 3 * limit and t >= 10 ** limit for t in tops):
+            raise ParseError(f"a coefficient has more than {limit} digits")
         return p
 
     def parse_sum(self) -> AffinePoly:
@@ -619,6 +625,25 @@ def sym_power(g, d: int):
             lifted.append(row)
         rows = lifted
     return rows
+
+
+def coefficient_matrix(f: BiPoly):
+    """f's coefficient matrix: row a holds the coefficients of the y-monomials
+    that multiply the a-th x-monomial, rows and columns in ``monomial_basis``
+    order."""
+    (xs, x_position), (ys, y_position) = monomial_basis(2, f.bidegree[0]), monomial_basis(3, f.bidegree[1])
+    rows = [[0] * len(ys) for _ in xs]
+    for m, c in f.terms.items():
+        rows[x_position[m[:2]]][y_position[m[2:]]] = c
+    return tuple(map(tuple, rows))
+
+
+def form_of_matrix(bidegree: Tuple[int, int], rows) -> BiPoly:
+    """The form of the given bidegree whose coefficient matrix is `rows`."""
+    xs, ys = monomial_basis(2, bidegree[0])[0], monomial_basis(3, bidegree[1])[0]
+    if len(rows) != len(xs) or any(len(row) != len(ys) for row in rows):
+        raise ValueError(f"a bidegree-{tuple(bidegree)} form has a {len(xs)} x {len(ys)} matrix")
+    return BiPoly(bidegree, {x + y: c for x, row in zip(xs, rows) for y, c in zip(ys, row)})
 
 
 def moved_terms(g2, g3, terms: Mapping[BiMonomial, object]) -> dict:

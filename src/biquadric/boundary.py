@@ -44,9 +44,10 @@ class BoundaryPoint:
 def minimal_orbit_limit(f: BiPoly, cert: Certificate) -> BiPoly:
     """The weight-zero part of f in the certificate's frame: the closed-orbit
     representative inside the orbit closure."""
-    if cert.claimed_mu_sign is not MuSign.ZERO or not cert.verify(f):
+    moved = act(cert.frame, f)
+    if cert.claimed_mu_sign is not MuSign.ZERO or not cert.holds(moved):
         raise ValueError("certificate does not verify with Zero sign")
-    lim = limit(act(cert.frame, f), cert.weight)
+    lim = limit(moved, cert.weight)
     if lim.kind is not LimitKind.POLY or lim.value is None or lim.value.is_zero():
         raise ValueError("limit is not a nonzero polynomial")
     return lim.value

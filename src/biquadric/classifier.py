@@ -20,6 +20,7 @@ from .bipoly import (
     BiPoly,
     FrameChange,
     act,
+    coefficient_matrix,
     cross,
     det2,
     det3,
@@ -34,7 +35,6 @@ from .fibration import (
     binform_gcd,
     conic_coefficients,
     conic_gram,
-    conic_of,
     conjugate,
     line_divides_conic,
     line_span,
@@ -57,7 +57,6 @@ from .singularity import (
     completed_rows,
     singular_locus,
     x_linear_root,
-    y_linear_coeffs,
 )
 from .weightlp import find_destabilizing_weight
 
@@ -106,10 +105,15 @@ class Certificate:
     claimed_mu_sign: MuSign
 
     def verify(self, f: BiPoly) -> bool:
+        return self.holds(act(self.frame, f))
+
+    def holds(self, moved: BiPoly) -> bool:
+        """`verify` on f already moved to the frame: the weight is nontrivial
+        and normalized, and mu has the claimed sign."""
         # mu is 0 for the trivial weight, so it would "verify" any Zero claim
         if self.weight.is_trivial or not self.weight.is_normalized:
             return False
-        value = mu(act(self.frame, f), self.weight)
+        value = mu(moved, self.weight)
         if self.claimed_mu_sign is MuSign.POSITIVE:
             return value > 0
         return value == 0
@@ -372,14 +376,6 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
 # Reducible surfaces
 
 
-def _bilinear_lines(factor: BiPoly):
-    """The x0- and x1-coefficient plane lines of a (1,1) factor."""
-    return tuple(
-        tuple(factor.coefficient(x + tuple(int(i == j) for j in range(3)))
-              for i in range(3))
-        for x in ((1, 0), (0, 1)))
-
-
 def _tangent_flag(x, conic) -> Flag:
     """x, a point p of the smooth conic on Z(y2) (over at most a quadratic
     extension) and the conic's tangent line at p."""
@@ -411,7 +407,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
     # A plane-line factor (0,1): always unstable.
     plane_lines = [fac for bd, fac in factors if bd == (0, 1)]
     if plane_lines:
-        ell = y_linear_coeffs(plane_lines[0])
+        ell = coefficient_matrix(plane_lines[0])[0]
         v0, v1 = line_span(ell)
         e = _complete_basis3(v0, v1)[2]
         # the y0*y2 coefficients of f, with y0 at v0 and y2 at e
@@ -436,8 +432,8 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
     # (1,1) x (1,1): unstable iff the two ruled pieces share a fibre.
     bilinears = [fac for bd, fac in factors if bd == (1, 1)]
     if len(bilinears) == 2:
-        a, b = _bilinear_lines(bilinears[0])
-        c, d = _bilinear_lines(bilinears[1])
+        # the x0- and x1-coefficient plane lines of each (1,1) factor
+        (a, b), (c, d) = (coefficient_matrix(fac) for fac in bilinears)
         w0, w1, w2 = cross(a, c), \
             tuple(x + y for x, y in zip(cross(a, d), cross(b, c))), cross(b, d)
         forms = [BinForm(2, [w0[i], w1[i], w2[i]]) for i in range(3)]
@@ -468,7 +464,7 @@ def _reducible_case(f: BiPoly, factors: List[Factor]) -> Tuple[str, str, Flag]:
         r1, r2 = [x_linear_root(fac) for bd, fac in factors if bd == (1, 0)]
         if is_zero_scalar(det2((r1, r2))):
             return "repeated fibre plane", "NonReducedVerticalPart", Flag((r1,))
-        conic = conic_of(next(fac for bd, fac in factors if bd == (0, 2)))
+        conic = conic_coefficients(next(fac for bd, fac in factors if bd == (0, 2)))[0]
         return ("fibre planes and conic cylinder", "IrreducibleConicCylinder",
                 _tangent_flag((r2, r1), conic))
 

@@ -372,8 +372,8 @@ def _cmd_verify_cert(args) -> int:
         f = poly_from_map(doc["input"])
     else:
         raise PreconditionError("no polynomial given and none embedded in the report")
-    value = mu(act(cert.frame, f), cert.weight)
-    ok = cert.verify(f)
+    moved = act(cert.frame, f)
+    value, ok = mu(moved, cert.weight), cert.holds(moved)
     report = {
         "verified": ok,
         "mu": value,

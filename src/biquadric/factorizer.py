@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .bipoly import AffinePoly, BiPoly
+from .bipoly import AffinePoly, BiPoly, coefficient_matrix, form_of_matrix
 from .fibration import (
     BinForm,
     binform_gcd,
@@ -122,7 +122,7 @@ def _rational_factors(f: BiPoly) -> List[Tuple[BiPoly, List[BiPoly]]]:
     cx = _x_content(f)
     if cx.d:
         out.extend(_x_factors(cx))
-        f = _quotient(f, _x_form(cx))
+        f = _quotient(f, form_of_matrix((cx.d, 0), [[c] for c in cx.coeffs]))
     cy = common_component([q for q in conic_coefficients(f) if not q.is_zero()])
     if cy is not None:
         out.extend(_y_factors(cy))
@@ -136,20 +136,14 @@ def _rational_factors(f: BiPoly) -> List[Tuple[BiPoly, List[BiPoly]]]:
 
 
 def _x_content(f: BiPoly) -> BinForm:
-    """The gcd of the binary quadratics that multiply the y-monomials."""
-    forms: dict = {}
-    for m, c in f.terms.items():
-        forms.setdefault(m[2:], [0] * 3)[m[1]] = c
+    """The gcd of the binary quadratics that multiply the y-monomials: the
+    columns of the coefficient matrix."""
     g = BinForm(2)
-    for coeffs in forms.values():
-        g = binform_gcd(g, BinForm(2, coeffs))
+    for column in zip(*coefficient_matrix(f)):
+        g = binform_gcd(g, BinForm(2, column))
         if g.d == 0:
             break
     return g
-
-
-def _x_form(b: BinForm) -> BiPoly:
-    return BiPoly((b.d, 0), {(b.d - i, i, 0, 0, 0): c for i, c in enumerate(b.coeffs)})
 
 
 def _y_form(q: AffinePoly) -> BiPoly:
@@ -163,13 +157,10 @@ def _x_factors(cx: BinForm):
             # an irreducible quadratic: the lines x1 - r x0 at its root r = p1
             # and at the conjugate root -m1 - r, m1 the linear coefficient of
             # the minimal polynomial
-            pieces = [
-                BiPoly((1, 0), {(1, 0, 0, 0, 0): -r, (0, 1, 0, 0, 0): 1})
-                for r in (p1, -p1.modulus[1] - p1)
-            ]
-            return [(_primitive(_x_form(cx)), pieces)]
+            pieces = [form_of_matrix((1, 0), [[-r], [1]]) for r in (p1, -p1.modulus[1] - p1)]
+            return [(_primitive(form_of_matrix((2, 0), [[c] for c in cx.coeffs])), pieces)]
         # the linear form vanishing at [p0 : p1]
-        line = _primitive(BiPoly((1, 0), {(1, 0, 0, 0, 0): p1, (0, 1, 0, 0, 0): -p0}))
+        line = _primitive(form_of_matrix((1, 0), [[p1], [-p0]]))
         out.extend([(line, [line])] * mult)
     return out
 
@@ -179,7 +170,7 @@ def _y_factors(cy: AffinePoly):
     lines = split_conic(cy) if fac.bidegree == (0, 2) else None
     if lines is None:
         return [(fac, [fac])]
-    pieces = [_y_line(line) for line in lines]
+    pieces = [form_of_matrix((0, 1), [line]) for line in lines]
     if any(isinstance(c, NumberFieldElement) for c in lines[0]):
         return [(fac, pieces)]  # two conjugate lines
     return [(line, [line]) for line in map(_primitive, pieces)]
@@ -218,8 +209,8 @@ def _bilinear_pair(A, B, C, s, modulus) -> Tuple[BiPoly, BiPoly]:
         if None in line or not line_divides_conic(line, m):
             continue
         q0 = _line_quotient(A, line)
-        p = _bilinear(line, _line_quotient(n, q0))
-        q = _bilinear(q0, _line_quotient(m, line))
+        p = form_of_matrix((1, 1), [line, _line_quotient(n, q0)])
+        q = form_of_matrix((1, 1), [q0, _line_quotient(m, line)])
         return p, q
     raise RuntimeError("no line of A divides (B + S)/2")
 
@@ -250,19 +241,6 @@ def _line_quotient(q: AffinePoly, line):
 
     mk = coeff(k, k) * inv
     return tuple(mk if j == k else (coeff(k, j) - line[j] * mk) * inv for j in range(3))
-
-
-def _bilinear(l0, l1) -> BiPoly:
-    """The (1,1) form l0 x0 + l1 x1 for linear forms l0, l1 in y."""
-    terms = {}
-    for alpha, line in (((1, 0), l0), ((0, 1), l1)):
-        for j in range(3):
-            terms[alpha + tuple(int(t == j) for t in range(3))] = line[j]
-    return BiPoly((1, 1), terms)
-
-
-def _y_line(line) -> BiPoly:
-    return BiPoly((0, 1), {(0, 0) + tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
 
 
 def _quotient(f: BiPoly, d: BiPoly) -> BiPoly:

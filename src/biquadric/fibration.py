@@ -259,11 +259,6 @@ def restrict_x(f: BiPoly, p1) -> AffinePoly:
     return AffinePoly(Y_VARS, terms)
 
 
-def conic_of(factor: BiPoly) -> AffinePoly:
-    """The conic in y of a form of bidegree (0, 2)."""
-    return AffinePoly(Y_VARS, {m[2:]: c for m, c in factor.terms.items()})
-
-
 def conic_gram(q: AffinePoly):
     """Doubled Gram matrix G of a quadratic form q in y, y^T G y = 2 q: the
     matrix of second partials, integral on integral input."""

@@ -13,8 +13,10 @@ O/(f, grad f), computed by truncated linear algebra.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple, Union
 
 from .bipoly import (
@@ -23,9 +25,10 @@ from .bipoly import (
     FrameChange,
     act,
     adjugate3,
+    coefficient_matrix,
     cross,
     det3,
-    is_scalar_multiple,
+    monomial_basis,
     moved_form,
 )
 from .factorizer import bihomogeneous_factor
@@ -133,21 +136,6 @@ class _RowSpace:
                     row[e] = v
 
 
-def _monomials_below(nvars: int, k: int):
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            for d in range(budget + 1):
-                out.append(tuple(prefix + [d]))
-            return
-        for d in range(budget + 1):
-            rec(prefix + [d], remaining - 1, budget - d)
-
-    rec([], nvars, k - 1)
-    return [e for e in out if sum(e) < k]
-
-
 def _shifted_row(g: AffinePoly, m, k):
     """The row of m * g truncated below total degree k."""
     return {tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms.items() if sum(e) + sum(m) < k}
@@ -176,7 +164,7 @@ def local_algebra_dim(f_affine: AffinePoly, cutoff: int = 10) -> AlgebraDim:
     gens = [f_affine] + [f_affine.partial(v) for v in f_affine.vars]
     nvars = len(f_affine.vars)
     kmax = cutoff + 1
-    mons = _monomials_below(nvars, kmax)
+    mons = [m for d in range(kmax) for m in monomial_basis(nvars, d)[0]]
     batches: Dict[int, List[Dict[Tuple[int, ...], object]]] = {}
     for g in gens:
         if g.is_zero():
@@ -470,33 +458,21 @@ def _restricted_to_line(conic: AffinePoly, v1, v2) -> BinForm:
 
 
 def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:
-    components: List[CurveComponent] = []
-    seen = []
-    counted = []
-    for bd, fac in factors:
-        matched = False
-        for entry in counted:
-            if is_scalar_multiple(entry[1], fac):
-                entry[2] += 1
-                matched = True
-                break
-        if not matched:
-            counted.append([bd, fac, 1])
-    for bd, fac, mult in counted:
-        if mult >= 2:
-            components.append(
-                PlaneCurveImage(f"non-reduced component of bidegree {bd}: {fac!r}")
-            )
-    for i in range(len(counted)):
-        for j in range(i + 1, len(counted)):
-            comp = _pair_intersection(counted[i], counted[j])
-            if comp is not None:
-                components.append(comp)
+    # bihomogeneous_factor repeats one normalized factor per multiplicity, and
+    # its distinct factors are never scalar multiples of each other
+    counted = Counter(factors)
+    components: List[CurveComponent] = [
+        PlaneCurveImage(f"non-reduced component of bidegree {bd}: {fac!r}")
+        for (bd, fac), mult in counted.items() if mult >= 2]
+    for e1, e2 in combinations(counted, 2):
+        comp = _pair_intersection(e1, e2)
+        if comp is not None:
+            components.append(comp)
     return SingularLocus((), tuple(components))
 
 
 def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
-    (bd1, f1, _), (bd2, f2, _) = e1, e2
+    (bd1, f1), (bd2, f2) = e1, e2
     if bd2 == (1, 0) and bd1 != (1, 0):
         bd1, f1, bd2, f2 = bd2, f2, bd1, f1
     if bd1 == (1, 0) and bd2 == (1, 0):
@@ -511,7 +487,7 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
             return FibreLine(p1pt, normalize_projective(line))
         return FibreConic(p1pt)
     if bd1 == (0, 1) and bd2 == (0, 1):
-        p2 = cross(y_linear_coeffs(f1), y_linear_coeffs(f2))
+        p2 = cross(coefficient_matrix(f1)[0], coefficient_matrix(f2)[0])
         if any(not is_zero_scalar(c) for c in p2):
             return HorizontalSection(normalize_projective(p2))
         return PlaneCurveImage("coincident plane sections")
@@ -522,11 +498,5 @@ def _pair_intersection(e1, e2) -> Optional[CurveComponent]:
 
 def x_linear_root(fac: BiPoly):
     """The root (c1, -c0) in P^1 of a form c0*x0 + c1*x1 of bidegree (1, 0)."""
-    return (fac.coefficient((0, 1, 0, 0, 0)), -fac.coefficient((1, 0, 0, 0, 0)))
-
-
-def y_linear_coeffs(fac: BiPoly):
-    """The coefficients of y0, y1, y2 in a form of bidegree (0, 1)."""
-    return tuple(
-        fac.coefficient((0, 0) + tuple(int(i == j) for j in range(3))) for i in range(3)
-    )
+    (c0,), (c1,) = coefficient_matrix(fac)
+    return (c1, -c0)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,20 @@ from biquadric.bipoly import (
     FrameChange,
     ParseError,
     act,
+    Y_VARS,
     adjugate3,
     all_monomials,
+    coefficient_matrix,
     det2,
     det3,
+    form_of_matrix,
+    monomial_basis,
     moved_form,
     moved_terms,
     parse,
 )
 from biquadric.classifier import _random_rows
+from biquadric.fibration import conic_coefficients
 from biquadric.scalars import NumberFieldElement
 from biquadric.singularity import point_frame
 import act_reference
@@ -87,6 +93,19 @@ class TestParse:
                                       "(-1)^99999999999*x0^2*y0^2", "(x0*y0)^2"])
     def test_constant_power_within_the_digit_limit(self, text):
         assert parse(text).bidegree == (2, 2)
+
+    @pytest.mark.parametrize("text", ["2^14000*2^14000*x0^2*y0^2", "(2^14000*x0^2)*(2^14000*y0^2)",
+                                      "(2^14000*x0*y0 + x1*y1)^2"])
+    def test_coefficient_beyond_the_digit_limit(self, text):
+        # each 2^14000 has 4215 digits, within the default 4300; the product 8429
+        with pytest.raises(ParseError, match="a coefficient has more than"):
+            parse(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit, no bound
+        try:
+            assert parse(text).bidegree == (2, 2)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_round_trip_corpus(self):
         rng = random.Random(5)
@@ -186,6 +205,55 @@ class TestKernelReference:
             moved = moved_form(g, poly)
             assert moved.vars == poly.vars
             assert self._typed(moved.terms) == self._typed(act_reference.moved_form(g, poly).terms)
+
+
+class TestCoefficientMatrix:
+    """The one coefficient layout: row a of a form's matrix holds the
+    coefficients of the y-monomials that multiply the a-th x-monomial, in
+    ``monomial_basis`` order."""
+
+    @staticmethod
+    def _forms(field):
+        """Seeded sparse and dense forms in every bidegree (d1, d2), d1, d2 <= 4."""
+        rng = random.Random(f"layout/{field}")
+        sqrt2 = NumberFieldElement((-2, 0, 1), (0, 1))
+        entry = {"integer": lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
+                 "fraction": lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5)),
+                 "number-field": lambda: rng.randint(-2, 2) + sqrt2 * rng.choice((-1, 1))}[field]
+        for d1 in range(5):
+            for d2 in range(5):
+                for keep in (0.3, 1.0):
+                    yield BiPoly((d1, d2), {m: entry() for m in all_monomials((d1, d2)) if rng.random() < keep})
+
+    @pytest.mark.parametrize("field", ["integer", "fraction", "number-field"])
+    def test_round_trip_in_every_bidegree(self, field):
+        for f in self._forms(field):
+            (xs, _), (ys, _) = monomial_basis(2, f.bidegree[0]), monomial_basis(3, f.bidegree[1])
+            matrix = coefficient_matrix(f)
+            assert [len(row) for row in matrix] == [len(ys)] * len(xs)
+            assert all(matrix[a][b] == f.coefficient(x + y)
+                       for a, x in enumerate(xs) for b, y in enumerate(ys))
+            assert form_of_matrix(f.bidegree, matrix) == f
+
+    @pytest.mark.parametrize("field", ["integer", "fraction", "number-field"])
+    def test_conic_coefficients_are_the_rows(self, field):
+        # the sparse reader indexes by the same positions as the matrix
+        ys = monomial_basis(3, 2)[0]
+        for f in self._forms(field):
+            if f.bidegree[1] == 2:
+                assert conic_coefficients(f) == tuple(
+                    AffinePoly(Y_VARS, dict(zip(ys, row))) for row in coefficient_matrix(f))
+
+    def test_positions(self):
+        f = parse("2*x0*x1*y0*y2 - x1^2*y1^2")
+        assert coefficient_matrix(f) == ((0,) * 6, (0, 0, 2, 0, 0, 0), (0, 0, 0, -1, 0, 0))
+        assert form_of_matrix((1, 1), [(1, 2, 3), (0, 0, -1)]) == parse("x0*(y0 + 2*y1 + 3*y2) - x1*y2")
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="2 x 3 matrix"):
+            form_of_matrix((1, 1), [(1, 2, 3)])
+        with pytest.raises(ValueError, match="2 x 3 matrix"):
+            form_of_matrix((1, 1), [(1, 2), (3, 4)])
 
 
 class TestPartial:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from biquadric import boundary, classifier
 from biquadric.bipoly import BiPoly, FrameChange, act, parse
 from biquadric.boundary import (
     BoundaryPoint,
@@ -131,6 +132,21 @@ class TestMinimalOrbitLimit:
         cert = classify(fixtures["two_ruled"]).certificate
         with pytest.raises(ValueError):
             minimal_orbit_limit(fixtures["stable_higher_sing"], cert)
+
+    def test_one_move_per_call(self, fixtures, monkeypatch):
+        # the certificate's check and the limit read one moved form
+        f = fixtures["two_ruled"]
+        cert = classify(f).certificate
+        moves = []
+
+        def counted_act(g, form):
+            moves.append(g)
+            return act(g, form)
+
+        monkeypatch.setattr(boundary, "act", counted_act)
+        monkeypatch.setattr(classifier, "act", counted_act)
+        minimal_orbit_limit(f, cert)
+        assert moves == [cert.frame]
 
 
 class TestGamma2Scaling:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from biquadric import cli
+from biquadric import classifier, cli
+from biquadric.bipoly import act
 from conftest import FIXTURES, benchmark_workloads
 
 CMD = [sys.executable, "-m", "biquadric.cli"]
@@ -93,6 +94,22 @@ class TestCertificatePipeline:
         report["certificate"]["weight"] = "0,0;0,0,0"
         out = run_cli("verify-cert", "--stdin", stdin=json.dumps(report))
         assert out.returncode == 3 and "verified: False" in out.stdout
+
+    def test_one_move_per_call(self, monkeypatch):
+        # the printed mu and the verdict read one moved form
+        report = run_cli("classify", "--json", FIXTURES["cone_point"]).stdout
+        moves = []
+
+        def counted_act(g, form):
+            moves.append(g)
+            return act(g, form)
+
+        monkeypatch.setattr(cli, "act", counted_act)
+        monkeypatch.setattr(classifier, "act", counted_act)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(report))
+        code, out, _err = run_in_process("verify-cert", "--stdin", "--json")
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert len(moves) == 1
 
     def test_stable_report_has_no_certificate(self):
         report = run_cli("classify", "--json", FIXTURES["stable_higher_sing"]).stdout
@@ -262,12 +279,16 @@ class TestExitCodes:
                                       "weight": "-1,1;-1,0,1", "claimed_mu_sign": "Zero"}, 2, "exponent"),
         (("classify", "3^30000000*x0^2*y0^2"), None, 2,
          "the power at position 2 would have more than"),
+        (("classify", "2^14000*2^14000*x0^2*y0^2"), None, 2, "a coefficient has more than"),
+        (("mu", "--weight=-1,1;-1,0,1", "(2^14000*x0^2)*(2^14000*y0^2)"), None, 2,
+         "a coefficient has more than"),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
             "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
             "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative",
             "degree-above-four", "mu-bidegree-1-1", "classify-bidegree-1-1",
-            "exponent-coefficient", "cert-exponent-entry", "power-beyond-digit-limit"])
+            "exponent-coefficient", "cert-exponent-entry", "power-beyond-digit-limit",
+            "product-beyond-digit-limit", "mu-product-beyond-digit-limit"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code, err):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
         if stdin is not None:

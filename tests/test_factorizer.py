@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from biquadric.bipoly import AffinePoly, BiPoly, act, all_monomials, is_scalar_multiple, parse
-from biquadric.fibration import conic_of, split_conic
+from biquadric.fibration import conic_coefficients, split_conic
 from biquadric.factorizer import bihomogeneous_factor, poly_sqrt
 from biquadric.scalars import NumberFieldElement, UniPoly, uv_roots
 from conftest import FIXTURES, random_poly, random_unimodular
@@ -265,7 +265,7 @@ def _reference_split(fac: BiPoly):
             for root in (alpha, -poly.coeffs[1] - alpha)
         ]
     if fac.bidegree == (0, 2):
-        lines = split_conic(conic_of(fac))
+        lines = split_conic(conic_coefficients(fac)[0])
         if lines is None:
             return [fac]
         return [
