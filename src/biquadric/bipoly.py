@@ -526,9 +526,7 @@ class FrameChange:
     __slots__ = ("g2", "g3")
 
     def __init__(self, g2, g3):
-        # rational entries stay Fractions, which callers may divide with "/"
-        self.g2, self.g3 = (tuple(tuple(c if isinstance(c, NumberFieldElement) else as_fraction(c)
-                                        for c in row) for row in g) for g in (g2, g3))
+        self.g2, self.g3 = (tuple(tuple(as_scalar(c) for c in row) for row in g) for g in (g2, g3))
         if len(self.g2) != 2 or any(len(r) != 2 for r in self.g2):
             raise ValueError("g2 must be 2x2")
         if len(self.g3) != 3 or any(len(r) != 3 for r in self.g3):
@@ -650,7 +648,8 @@ def moved_terms(g2, g3, terms: Mapping[BiMonomial, object]) -> dict:
     """The terms of f(x * g2, y * g3), f of any bidegree (d1, d2): the matrix
     product Sym^d1(g2)^T . C . Sym^d2(g3) on f's coefficient matrix C (rows
     x-monomials, columns y-monomials), skipping zero entries.  Scalars are
-    ints (which stay machine integers), Fractions or number-field elements."""
+    ints, Fractions or number-field elements; a frame holds ``as_scalar``
+    entries, so an integer form moves through an integer frame in ints."""
     if not terms:
         return {}
     first = next(iter(terms))

@@ -45,6 +45,7 @@ from .fibration import (
     proportional,
     ramified_along,
     restrict_x,
+    restricted_to_line,
     split_conic,
 )
 from .oneps import Weight, mu
@@ -379,12 +380,10 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
 def _tangent_flag(x, conic) -> Flag:
     """x, a point p of the smooth conic on Z(y2) (over at most a quadratic
     extension) and the conic's tangent line at p."""
-    c00 = conic.coefficient((2, 0, 0))
-    c01 = conic.coefficient((1, 1, 0))
-    c11 = conic.coefficient((0, 2, 0))
-    if all(is_zero_scalar(c) for c in (c00, c01, c11)):
+    q = restricted_to_line(conic, (1, 0, 0), (0, 1, 0))
+    if q.is_zero():
         raise ValueError("conic is singular along Z(y2)")
-    r = BinForm(2, (c00, c01, c11)).roots()[0][0]
+    r = q.roots()[0][0]
     p = (r[0], r[1], 0)
     return Flag(x, p, polar(conic_gram(conic), p))
 
@@ -512,10 +511,11 @@ def random_destabilize_search(
     """Sample random frames and look up the transformed support in the
     maximal M+ and M⊕ sets; returns the first verifying certificate (Positive
     preferred over Zero per frame) or None.  Deterministic given the seed.
-    The frames are integer, so each moved support is that of the moved
-    integer multiple of the rational f; a weight found is verified exactly.
-    A weak match is tried only for a support in no M+ set, so its weight is
-    zero somewhere on the support: its sign is Zero."""
+    The frames are integer, so each trial moves the integer multiple of the
+    rational f in machine integers; mu reads only the support, which f shares
+    with that multiple, so a weight found is verified exactly on the same
+    move.  A weak match is tried only for a support in no M+ set, so its
+    weight is zero somewhere on the support: its sign is Zero."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     int_terms = dict(zip(f.terms, primitive_integers(f.terms.values())))
@@ -525,13 +525,14 @@ def random_destabilize_search(
             g2, g3 = IDENTITY2, IDENTITY3
         else:
             g2, g3 = _random_rows(rng, 2), _random_rows(rng, 3)
-        support = frozenset(moved_terms(g2, g3, int_terms))
+        moved = moved_terms(g2, g3, int_terms)
+        support = frozenset(moved)
         for strict in (True, False):
             w = find_destabilizing_weight(support, strict)
             if w is None:
                 continue
             sign = MuSign.POSITIVE if strict else MuSign.ZERO
             cert = Certificate(FrameChange(g2, g3), w, sign)
-            if cert.verify(f):
+            if cert.holds(BiPoly(f.bidegree, moved)):
                 return cert
     return None

@@ -332,12 +332,16 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
     return [combo(1, -t) for t in roots]
 
 
+def restricted_to_line(conic: AffinePoly, v1, v2) -> BinForm:
+    """Twice the restriction of a conic in y to the line {s v1 + t v2}: a
+    binary quadratic in (s, t)."""
+    g = conic_gram(conic)
+    return BinForm(2, [bilinear(g, v1, v1), 2 * bilinear(g, v1, v2), bilinear(g, v2, v2)])
+
+
 def line_divides_conic(line, q: AffinePoly) -> bool:
     """True iff the conic vanishes identically on the line Z(line)."""
-    g = conic_gram(q)
-    v1, v2 = line_span(line)
-    checks = [v1, v2, tuple(a + b for a, b in zip(v1, v2))]
-    return all(is_zero_scalar(bilinear(g, v, v)) for v in checks)
+    return restricted_to_line(q, *line_span(line)).is_zero()
 
 
 def line_span(line):

@@ -33,8 +33,6 @@ from .bipoly import (
 )
 from .factorizer import bihomogeneous_factor
 from .fibration import (
-    BinForm,
-    bilinear,
     binform_gcd,
     conic_coefficients,
     conic_gram,
@@ -47,6 +45,7 @@ from .fibration import (
     normalize_projective,
     polar_rows,
     restrict_x,
+    restricted_to_line,
 )
 from .scalars import is_zero_scalar, scalar_inv
 
@@ -435,7 +434,7 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
                 line = normalize_projective(row)
                 break
         v1, v2 = kernel
-        q0, q1 = (_restricted_to_line(restrict_x(g, p1pt), v1, v2) for g in (fx0, fx1))
+        q0, q1 = (restricted_to_line(restrict_x(g, p1pt), v1, v2) for g in (fx0, fx1))
         if q0.is_zero() and q1.is_zero():
             components.append(FibreLine(p1pt, line))
             return points, components
@@ -448,13 +447,6 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
             points.append((p1pt, tuple(v2)))
         return points, components
     raise ValueError("identically zero fibre: the polynomial is reducible")
-
-
-def _restricted_to_line(conic: AffinePoly, v1, v2) -> BinForm:
-    """Twice the restriction of a conic in y to the line {s v1 + t v2}: a
-    binary quadratic in (s, t)."""
-    g = conic_gram(conic)
-    return BinForm(2, [bilinear(g, v1, v1), 2 * bilinear(g, v1, v2), bilinear(g, v2, v2)])
 
 
 def _singular_locus_reducible(f: BiPoly, factors) -> SingularLocus:

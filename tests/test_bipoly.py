@@ -25,7 +25,7 @@ from biquadric.bipoly import (
 )
 from biquadric.classifier import _random_rows
 from biquadric.fibration import conic_coefficients
-from biquadric.scalars import NumberFieldElement
+from biquadric.scalars import NumberFieldElement, scalar_inv
 from biquadric.singularity import point_frame
 import act_reference
 from conftest import random_poly, random_unimodular, substitution_act
@@ -37,9 +37,9 @@ def inverse(g):
     """The frame whose action undoes the action of g: adjugates over
     determinants."""
     (a, b), (c, d) = g.g2
-    d2, d3 = det2(g.g2), det3(g.g3)
-    g3 = tuple(tuple(x / d3 for x in row) for row in adjugate3(g.g3))
-    return FrameChange(((d / d2, -b / d2), (-c / d2, a / d2)), g3)
+    i2, i3 = scalar_inv(det2(g.g2)), scalar_inv(det3(g.g3))
+    g3 = tuple(tuple(x * i3 for x in row) for row in adjugate3(g.g3))
+    return FrameChange(((d * i2, -b * i2), (-c * i2, a * i2)), g3)
 
 
 poly_strategy = st.builds(

@@ -322,10 +322,22 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             random_destabilize_search(fixtures["cone_point"], trials=0, seed=1)
 
+    def test_no_move_per_hit(self, fixtures, monkeypatch):
+        # a hit is checked on the integer move the trial already made
+        moves = []
+
+        def counted_act(g, form):
+            moves.append(g)
+            return act(g, form)
+
+        monkeypatch.setattr(classifier, "act", counted_act)
+        assert random_destabilize_search(fixtures["cone_point"], trials=4, seed=1) is not None
+        assert moves == []
+
     @staticmethod
     def reference_search(f, trials, seed):
-        """The search on Fraction frames, with the substitution action and
-        the weight cone LP, drawing the same frames."""
+        """The search with the substitution action, the weight cone LP and
+        a check by `verify`, drawing the same frames."""
         rng = random.Random(seed)
         for trial in range(trials):
             frame = FrameChange.identity() if trial == 0 else FrameChange(

@@ -8,7 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import biquadric.cli  # noqa: F401  (imports every module the tracer looks in)
-from biquadric.bipoly import parse
+from biquadric.bipoly import FrameChange, act, parse
+from biquadric.classifier import Flag, normalize_frame
+from biquadric.cli import frame_from_json
 from conftest import FIXTURES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -230,6 +232,28 @@ def test_integer_text_parses_to_ints():
     ]
     for text in texts:
         assert {type(c) for c in parse(text).terms.values()} == {int}, text
+
+
+def _rational_entries_are_canonical(rows) -> bool:
+    # an integral rational is an int, and a Fraction only when it is not
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for row in rows for c in row)
+
+
+def test_integer_frames_hold_ints():
+    f = parse("x0^2*y0^2 + x1^2*y1*y2")
+    frames = [
+        FrameChange.identity(),
+        normalize_frame(f, Flag(((0, 1),), (1, 0, 0), (0, 0, 1))),
+        normalize_frame(f, Flag(((3, 2),), (0, 2, 0))),
+        frame_from_json({"g2": [["1", "0"], ["0", "4/2"]],
+                         "g3": [["4/2", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]]}),
+    ]
+    for frame in frames:
+        assert _rational_entries_are_canonical(frame.g2 + frame.g3), frame
+    moved = act(FrameChange(((2, 1), (1, 1)), ((1, 2, 0), (0, 1, 3), (1, 0, 1))),
+                parse(FIXTURES["cone_point"]))
+    assert {type(c) for c in moved.terms.values()} == {int}
 
 
 def test_rational_literal_parses_to_a_fraction():
