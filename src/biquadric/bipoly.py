@@ -66,12 +66,6 @@ class AffinePoly:
     def constant(cls, variables, c) -> "AffinePoly":
         return cls(variables, {tuple([0] * len(variables)): c})
 
-    @classmethod
-    def variable(cls, variables, name) -> "AffinePoly":
-        exps = [0] * len(variables)
-        exps[tuple(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -163,38 +157,20 @@ class AffinePoly:
         out.terms = terms
         return out
 
-    def substitute(self, assignment: Mapping[str, "AffinePoly | int | Fraction | NumberFieldElement"]) -> "AffinePoly":
-        """Substitute polynomials (or scalars) for some variables."""
-        polys = [AffinePoly.variable(self.vars, name) for name in self.vars]
-        for name, val in assignment.items():
-            if not isinstance(val, AffinePoly):
-                val = AffinePoly.constant(self.vars, val)
-            polys[self.vars.index(name)] = val
-        # each power of a substituted polynomial is expanded once
-        powers: dict = {}
-        result = AffinePoly(self.vars)
-        for e, c in self.terms.items():
-            term = None
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in powers:
-                        powers[i, k] = polys[i] ** k
-                    term = powers[i, k] if term is None else term * powers[i, k]
-            # every term is added into the one result dict
-            for key, value in (term.terms.items() if term is not None else [(e, 1)]):
-                _add_into(result.terms, key, c * value)
-        return result
-
     def evaluate(self, point: Sequence):
-        """Value at a point given by one scalar per variable, in order."""
+        """Value at a point given by one scalar or polynomial per variable, in
+        order; each power of a coordinate is computed once."""
         if len(point) != len(self.vars):
             raise ValueError("point arity mismatch")
+        powers = [[1, x] for x in point]  # powers[i][k] is point[i] ** k
         acc = 0
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(point, e):
+            for ps, k in zip(powers, e):
                 if k:
-                    v = v * (x ** k)
+                    while len(ps) <= k:
+                        ps.append(ps[-1] * ps[1])
+                    v = v * ps[k]
             acc = acc + v
         return acc
 
@@ -284,20 +260,12 @@ class BiPoly:
         new_deg = (d1 - 1, d2) if var in X_VARS else (d1, d2 - 1)
         return BiPoly(new_deg, self.poly.partial(var))
 
-    def dehomogenize(self, chart: Tuple[int, int]) -> AffinePoly:
-        """Chart expansion: substitute x_i = 1 and y_j = 1.
-
-        Returns a polynomial in the remaining three variables, in the order
-        (other x, first remaining y, second remaining y).
-        """
-        xi, yj = chart
-        if xi not in (0, 1) or yj not in (0, 1, 2):
-            raise ValueError("invalid chart indices")
-        keep = [1 - xi] + [2 + j for j in range(3) if j != yj]
+    def dehomogenize(self) -> AffinePoly:
+        """The chart x0 = y0 = 1: a polynomial in (x1, y1, y2)."""
         terms: dict = {}
         for m, c in self.terms.items():
-            _add_into(terms, tuple(m[i] for i in keep), c)
-        return AffinePoly(tuple(ALL_VARS[i] for i in keep), terms)
+            _add_into(terms, (m[1], m[3], m[4]), c)
+        return AffinePoly(("x1", "y1", "y2"), terms)
 
     def evaluate(self, x_point, y_point):
         """Evaluate at projective-coordinate tuples (exact scalars)."""
@@ -499,10 +467,15 @@ def _degree(factor) -> int:
 def parse(text: str) -> BiPoly:
     """Parse the text grammar into a canonical BiPoly.
 
-    Raises ParseError for malformed syntax and ValueError for inputs that are
-    not bihomogeneous.
+    Raises ParseError for malformed syntax, nesting deeper than the
+    interpreter's recursion limit included, and ValueError for inputs that
+    are not bihomogeneous.
     """
-    p = _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        p = parser.parse()
+    except RecursionError:
+        raise ParseError(f"parentheses nested too deeply at position {parser.pos}") from None
     if p.is_zero():
         raise ValueError("the zero polynomial has no bidegree")
     degs = {(e[0] + e[1], e[2] + e[3] + e[4]) for e in p.terms}
@@ -551,14 +524,6 @@ def det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def dot(u, v):
     """Dot product of two 3-vectors: a line's value at a point."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -573,14 +538,15 @@ def cross(u, v):
     )
 
 
-def adjugate3(m):
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        return minor if (i + j) % 2 == 0 else -minor
+def det3(m):
+    """The determinant of a 3x3 matrix: the triple product of its rows."""
+    return dot(m[0], cross(m[1], m[2]))
 
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+def adjugate3(m):
+    """The adjugate of a 3x3 matrix: its columns are the cross products of
+    the row pairs (1, 2), (2, 0) and (0, 1)."""
+    return tuple(zip(cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])))
 
 
 @functools.lru_cache(maxsize=None)

@@ -42,7 +42,6 @@ from .fibration import (
     normalize_projective,
     phi_sigma_constant,
     polar,
-    proportional,
     ramified_along,
     restrict_x,
     restricted_to_line,
@@ -202,7 +201,7 @@ IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 def _point_on_line(line, avoid=None):
     """A point of the projective line Z(line), not proportional to `avoid`."""
     for v in line_span(line):
-        if avoid is None or not proportional(v, avoid):
+        if avoid is None or any(not is_zero_scalar(c) for c in cross(v, avoid)):
             return v
     raise ValueError("no point on the line away from the excluded one")
 

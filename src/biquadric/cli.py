@@ -27,7 +27,7 @@ from .classifier import (
     random_destabilize_search,
 )
 from .factorizer import bihomogeneous_factor
-from .fibration import discriminant, fibre_matrix, fibre_rank
+from .fibration import discriminant, fibre_matrix, matrix_rank
 from .oneps import LimitKind, Weight, limit, m_oplus, m_plus, mu
 from .scalars import format_scalar, parse_scalar, read_rational
 from .singularity import (
@@ -94,10 +94,19 @@ def read_poly(text: str) -> BiPoly:
     text = text.strip()
     try:
         if text.startswith("{"):
-            return poly_from_map(json.loads(text))
+            return poly_from_map(_load_json(text))
         return BiPoly((2, 2), parse(text).poly)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _load_json(text: str):
+    """The JSON document in `text`; nesting deeper than the decoder follows
+    is a parse error, as malformed JSON is."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ParseError(f"JSON nested too deeply: {exc}") from None
 
 
 def read_weight(text: str) -> Weight:
@@ -268,14 +277,15 @@ FIBRE_LABELS = {2: "TwoDistinctLines", 1: "DoubleLine", 0: "WholePlane"}
 
 def _cmd_fibres(args) -> int:
     f = read_poly(args.poly)
-    disc = discriminant(fibre_matrix(f))
+    pencil = fibre_matrix(f)
+    disc = discriminant(pencil)
     report = {"discriminant": [format_scalar(c) for c in disc.coeffs], "roots": []}
     lines = [f"discriminant coefficients: {report['discriminant']}"]
     if disc.is_zero():
         lines.append("discriminant vanishes identically")
     else:
         for root, mult in disc.roots():
-            rank = fibre_rank(f, root)
+            rank = matrix_rank(pencil.evaluate(root))
             label = FIBRE_LABELS[rank]
             report["roots"].append({
                 "point": [format_scalar(c) for c in root],
@@ -353,13 +363,13 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_verify_cert(args) -> int:
     if args.stdin:
-        doc = json.load(sys.stdin)
+        doc = _load_json(sys.stdin.read())
     else:
         if args.cert_file is None:
             raise PreconditionError("provide a certificate file or --stdin")
         try:
             with open(args.cert_file, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+                doc = _load_json(handle.read())
         except OSError as exc:
             raise ParseError(f"cannot read {args.cert_file}: {exc.strerror}") from exc
     cert_doc = doc.get("certificate", doc) if isinstance(doc, dict) else doc
@@ -444,10 +454,7 @@ def run(argv) -> int:
     except (ParseError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except PreconditionError as exc:
-        sys.stderr.write(f"precondition violation: {exc}\n")
-        return EXIT_PRECONDITION
-    except (ValueError, NotImplementedError) as exc:
+    except (PreconditionError, ValueError, NotImplementedError) as exc:
         sys.stderr.write(f"precondition violation: {exc}\n")
         return EXIT_PRECONDITION
     except RuntimeError as exc:

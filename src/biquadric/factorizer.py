@@ -233,14 +233,8 @@ def _in_field(c, modulus):
 
 def _line_quotient(q: AffinePoly, line):
     """The linear form m, a coefficient triple, with line * m = q."""
-    k = next(i for i in range(3) if not is_zero_scalar(line[i]))
-    inv = scalar_inv(line[k])
-
-    def coeff(i, j):
-        return q.coefficient(tuple(int(t == i) + int(t == j) for t in range(3)))
-
-    mk = coeff(k, k) * inv
-    return tuple(mk if j == k else (coeff(k, j) - line[j] * mk) * inv for j in range(3))
+    conic = BiPoly((0, 2), {(0, 0) + e: c for e, c in q.terms.items()})
+    return coefficient_matrix(_quotient(conic, form_of_matrix((0, 1), [line])))[0]
 
 
 def _quotient(f: BiPoly, d: BiPoly) -> BiPoly:

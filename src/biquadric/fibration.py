@@ -209,26 +209,6 @@ def conjugate(p, q) -> bool:
     return g.degree >= 1
 
 
-def proportional(u, v) -> bool:
-    """True iff the coordinate vectors u and v are proportional."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero_scalar(u[i] * v[j] - u[j] * v[i]):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Fibre classification
-
-
-def fibre_rank(f: BiPoly, p1) -> int:
-    """Rank of the fibre conic over p1: 3 smooth, 2 two distinct lines,
-    1 a double line, 0 the whole plane."""
-    return matrix_rank(fibre_matrix(f).evaluate(p1))
-
-
 # ---------------------------------------------------------------------------
 # Conic helpers (quadratic forms in y over an exact field)
 

@@ -119,6 +119,8 @@ class UniPoly:
             a[i] = a[i] + c
         return UniPoly(a)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
 
@@ -132,10 +134,11 @@ class UniPoly:
         if self.is_zero() or other.is_zero():
             return UniPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if not is_zero_scalar(b)]
         for i, a in enumerate(self.coeffs):
             if is_zero_scalar(a):
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in nonzero:
                 out[i + j] = out[i + j] + a * b
         return UniPoly(out)
 

@@ -47,7 +47,7 @@ from .fibration import (
     restrict_x,
     restricted_to_line,
 )
-from .scalars import is_zero_scalar, scalar_inv
+from .scalars import UniPoly, is_zero_scalar, scalar_inv
 
 CHART_VARS = ("x1", "y1", "y2")
 
@@ -77,7 +77,7 @@ def point_frame(P: Point) -> FrameChange:
 
 def chart_local(f: BiPoly, P: Point) -> AffinePoly:
     """Local equation of the surface in the affine chart centred at P."""
-    return act(point_frame(P), f).dehomogenize((0, 0))
+    return act(point_frame(P), f).dehomogenize()
 
 
 def tangent_cone(f: BiPoly, P: Point) -> AffinePoly:
@@ -216,30 +216,28 @@ class LocalType:
 def _splitting_type(local: AffinePoly, gram, cutoff: int) -> LocalType:
     """A corank-1 germ's type by the splitting lemma (see classify_local)."""
     _check_germ(local, cutoff)
-    # coordinates (w, u, v) with the cone's kernel as the w-axis
-    rows = completed_rows(matrix_kernel(gram)[0])
-    f = AffinePoly(("w", "u", "v"), moved_form(rows, local).terms)
-    grad = (f.partial("u"), f.partial("v"))
+    # chart coordinates (w, u, v) with the cone's kernel as the w-axis
+    f = moved_form(completed_rows(matrix_kernel(gram)[0]), local)
+    grad = (f.partial(f.vars[1]), f.partial(f.vars[2]))
     a, b, d = (f.coefficient(e) for e in ((0, 2, 0), (0, 1, 1), (0, 0, 2)))
     inv = scalar_inv(4 * a * d - b * b)
     step = ((2 * d * inv, -b * inv), (-b * inv, 2 * a * inv))  # the inverse (u, v) Hessian
     # The critical locus grad_(u,v) f = 0 is O(w^2) and each chord step
     # with the constant Hessian gains one order; an error O(w^m) in it
     # moves f on it only by O(w^2m), since the (u, v)-gradient vanishes there.
-    u = v = AffinePoly(f.vars)
-    order = 2  # u(w) and v(w) are exact mod w^order
+    w, u, v = UniPoly.gen(), UniPoly(), UniPoly()
+    order = 2  # the series u(w) and v(w) are exact mod w^order
     while True:
         top = min(2 * order, cutoff + 2)
-        g = f.substitute({"u": u, "v": v})
-        n = min((e[0] for e in g.terms if e[0] < top), default=None)
+        g = f.evaluate((w, u, v)).coeffs[:top]  # f has no constant term
+        n = next((i for i, c in enumerate(g) if not is_zero_scalar(c)), None)
         if n is not None:
             return LocalType("An", n - 1)
         if top == cutoff + 2:
             return LocalType("NonIsolatedSuspected", cutoff=cutoff)
         order += 1
-        fu, fv = (p.substitute({"u": u, "v": v}) for p in grad)
-        u, v = (x - fu * s - fv * t for x, (s, t) in zip((u, v), step))
-        u, v = (AffinePoly(f.vars, {e: c for e, c in x.terms.items() if e[0] < order}) for x in (u, v))
+        fu, fv = (p.evaluate((w, u, v)) for p in grad)
+        u, v = (UniPoly((x - fu * s - fv * t).coeffs[:order]) for x, (s, t) in zip((u, v), step))
 
 
 def classify_local(local: AffinePoly, cutoff: int = 10) -> LocalType:

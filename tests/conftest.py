@@ -119,7 +119,7 @@ def substitution_act(g, f):
     units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
     lx = [AffinePoly(ALL_VARS, {units[i]: g.g2[i][k] for i in range(2)}) for k in range(2)]
     ly = [AffinePoly(ALL_VARS, {units[2 + i]: g.g3[i][k] for i in range(3)}) for k in range(3)]
-    return BiPoly(f.bidegree, f.poly.substitute(dict(zip(ALL_VARS, lx + ly))))
+    return BiPoly(f.bidegree, f.poly.evaluate(lx + ly))
 
 
 def random_unimodular(rng):

@@ -17,6 +17,12 @@ CMD = [sys.executable, "-m", "biquadric.cli"]
 TWO_A3 = "x0^2*y1^2 + x1^2*y2^2 + x0*x1*y0^2"
 
 
+# Input nested deeper than the interpreter's recursion limit.
+NESTED_PARENTHESES = "(" * 5000 + "x0^2*y0^2" + ")" * 5000
+NESTED_MAP = '{"a":' * 20000
+NESTED_ARRAY = "[" * 100000
+
+
 def run_cli(*args, stdin=None):
     return subprocess.run(
         CMD + list(args), input=stdin, capture_output=True, text=True, timeout=120
@@ -282,16 +288,20 @@ class TestExitCodes:
         (("classify", "2^14000*2^14000*x0^2*y0^2"), None, 2, "a coefficient has more than"),
         (("mu", "--weight=-1,1;-1,0,1", "(2^14000*x0^2)*(2^14000*y0^2)"), None, 2,
          "a coefficient has more than"),
+        (("classify", NESTED_PARENTHESES), None, 2, "parentheses nested too deeply at position"),
+        (("classify", NESTED_MAP), None, 2, "JSON nested too deeply"),
+        (("verify-cert", "--stdin"), NESTED_ARRAY, 2, "JSON nested too deeply"),
     ], ids=["cert-without-g3", "cert-without-frame", "null-coefficient",
             "list-coefficient", "missing-cert-file", "zero-denominator-text",
             "zero-denominator-map", "overflowing-coefficient", "cert-zero-denominator",
             "cutoff-1", "cutoff-0", "cutoff-negative", "trials-negative",
             "degree-above-four", "mu-bidegree-1-1", "classify-bidegree-1-1",
             "exponent-coefficient", "cert-exponent-entry", "power-beyond-digit-limit",
-            "product-beyond-digit-limit", "mu-product-beyond-digit-limit"])
+            "product-beyond-digit-limit", "mu-product-beyond-digit-limit",
+            "nested-parentheses", "nested-map", "nested-certificate"])
     def test_malformed_input_keeps_exit_code(self, tmp_path, args, stdin, code, err):
         args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
-        if stdin is not None:
+        if isinstance(stdin, dict):  # a certificate; a string is the raw stdin
             stdin = json.dumps({"input": {"2,0;2,0,0": "1"}, "certificate": stdin})
         out = run_cli(*args, stdin=stdin)
         assert out.returncode == code
@@ -305,6 +315,28 @@ def run_in_process(*args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+class TestNestedInput:
+    """Nesting deeper than the parser or the JSON decoder can follow is a
+    parse error, in-process too, where the stack is already deeper."""
+
+    @pytest.mark.parametrize("depth", [300, 5000])
+    def test_nested_parentheses(self, depth):
+        code, out, err = run_in_process("classify", "(" * depth + "x0^2*y0^2" + ")" * depth)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("parse error: parentheses nested too deeply at position "), err
+
+    def test_nested_json(self, monkeypatch):
+        code, out, err = run_in_process("classify", NESTED_MAP)
+        assert (code, out) == (2, "") and err.startswith("parse error: JSON nested too deeply"), err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(NESTED_ARRAY))
+        code, out, err = run_in_process("verify-cert", "--stdin")
+        assert (code, out) == (2, "") and err.startswith("parse error: JSON nested too deeply"), err
+
+    def test_moderate_nesting_parses(self):
+        code, out, _ = run_in_process("classify", "(" * 100 + "x0^2*y0^2" + ")" * 100)
+        assert code == 0 and out.startswith("class: Unstable")
 
 
 class TestParserReuse:

@@ -17,7 +17,6 @@ from biquadric.fibration import (
     contracted_sections,
     discriminant,
     fibre_matrix,
-    fibre_rank,
     line_divides_conic,
     matrix_rank,
     normalize_projective,
@@ -188,25 +187,31 @@ def _binform_add(a, b):
     return BinForm(a.d, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
+def conic_rank(f, p1):
+    """The rank of the fibre conic over p1, read off f restricted to the
+    fibre, not off the pencil."""
+    return matrix_rank(conic_gram(restrict_x(f, p1)))
+
+
 class TestClassifyFibre:
     def test_double_line(self):
         f = parse("x0^2*y2^2 + x0*x1*(y2^2+y0*y2+y1*y2)"
                   " + x1^2*(y0^2+y1^2+y2^2+y0*y1+y0*y2+y1*y2)")
-        assert fibre_rank(f, (1, 0)) == 1
+        assert conic_rank(f, (1, 0)) == 1
 
     def test_two_lines(self):
         f = parse("x0^2*y1*y2 + x1^2*(y0^2+y1^2+y2^2)")
-        assert fibre_rank(f, (1, 0)) == 2
+        assert conic_rank(f, (1, 0)) == 2
 
     def test_generic_fibre_smooth(self):
-        assert fibre_rank(SMOOTH, (1, 1)) == 3
+        assert conic_rank(SMOOTH, (1, 1)) == 3
 
     def test_discriminant_roots_exactly_locate_singular_fibres(self):
         disc = discriminant(fibre_matrix(SMOOTH))
         roots = {tuple(map(str, root)) for root, _ in disc.roots()}
         for root, _ in disc.roots():
-            assert fibre_rank(SMOOTH, root) < 3
-        assert fibre_rank(SMOOTH, (0, 1)) == 3 or \
+            assert conic_rank(SMOOTH, root) < 3
+        assert conic_rank(SMOOTH, (0, 1)) == 3 or \
             tuple(map(str, (0, 1))) in roots
 
 
@@ -367,8 +372,9 @@ def _section_forms(rng, count):
 class TestGradientsMatchFrameMoves:
     """ramified_along and phi_sigma_constant against their frame-move
     references on every argument the condition checks pass them, each
-    point's recorded fibre rank against fibre_rank, and the polar-row test
-    for a singular contracted section against the five partials."""
+    point's recorded fibre rank against the rank of its fibre conic, and the
+    polar-row test for a singular contracted section against the five
+    partials."""
 
     def test_condition_check_arguments(self, fixtures, monkeypatch):
         visits = {"ramified": [], "phi": []}
@@ -398,7 +404,7 @@ class TestGradientsMatchFrameMoves:
                 continue
             locus = singular_locus(f)
             for rec in locus.isolated_points:
-                assert rec.fibre_rank == fibre_rank(f, rec.point[0])
+                assert rec.fibre_rank == conic_rank(f, rec.point[0])
                 points += 1
             for p2 in locus.section_points:
                 singular = matrix_rank(polar_rows(f, p2)) == 0

@@ -1,4 +1,5 @@
-"""Rank and kernel by cross products against the row-reduction reference.
+"""Rank, kernel, determinant and adjugate by cross products against
+references.
 
 ``fibration.matrix_kernel`` reduces only matrices with three columns, so it
 reads the rank and the kernel off cross and dot products of the rows.  The
@@ -7,6 +8,11 @@ both are run on seeded 3-column matrices over Z, Q and Q(sqrt 2) in shapes
 1x3 to 9x3 with ranks 0 to 3.  Ranks agree and kernels span the same space;
 at rank at most 1, and for ``line_span``, the vectors are the reference's
 own, since certificate frames and fibre lines print them.
+
+``bipoly.det3`` is the triple product of the rows and ``bipoly.adjugate3``
+the transpose of the cross products of row pairs; the cofactor expansions
+they replaced are kept as references and run on the 3x3 matrices above, on
+seeded full matrices and on fibre pencils, whose entries are binary forms.
 """
 
 import random
@@ -14,7 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from biquadric.fibration import line_span, matrix_kernel, matrix_rank
+from biquadric.bipoly import BiPoly, adjugate3, all_monomials, det3
+from biquadric.fibration import fibre_matrix, line_span, matrix_kernel, matrix_rank
 from biquadric.scalars import NumberFieldElement, is_zero_scalar, scalar_inv
 
 SQRT2 = NumberFieldElement((-2, 0, 1), (0, 1))
@@ -148,3 +155,65 @@ def test_integer_rank_two_kernels_are_integers():
     kernels = [matrix_kernel(m)[0] for field, rank, m in CASES if field == "Z" and rank == 2]
     assert kernels
     assert all(type(c) is int for v in kernels for c in v)
+
+
+def reference_det3(m):
+    """The cofactor expansion along the first row."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def reference_adjugate3(m):
+    """The transpose of the matrix of signed 2x2 minors."""
+    def cof(i, j):
+        rows = [r for r in range(3) if r != i]
+        cols = [c for c in range(3) if c != j]
+        minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
+        return minor if (i + j) % 2 == 0 else -minor
+
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
+def _square_cases():
+    """The 3x3 matrices of every rank above, and seeded full ones."""
+    rng = random.Random(25)
+    out = [(field, m) for field, _rank, m in CASES if len(m) == 3]
+    out += [(field, [[FIELDS[field](rng) for _ in range(3)] for _ in range(3)])
+            for field in FIELDS for _ in range(30)]
+    return out
+
+
+def _pencils():
+    """Fibre pencils of seeded (2,2)-forms, sparse and dense, with integer
+    and rational coefficients."""
+    rng = random.Random(25)
+    out = []
+    for keep in (0.3, 0.6, 1.0):
+        for coefficient in (lambda: rng.randint(-3, 3), lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))):
+            for _ in range(8):
+                terms = {m: coefficient() for m in all_monomials() if rng.random() < keep}
+                f = BiPoly((2, 2), terms)
+                if not f.is_zero():
+                    out.append(fibre_matrix(f).entries)
+    return out
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_determinant_and_adjugate_match_the_cofactors(field):
+    cases = [m for case_field, m in _square_cases() if case_field == field]
+    assert len(cases) > 30
+    for m in cases:
+        assert _exact([(det3(m),)]) == _exact([(reference_det3(m),)]), m
+        assert _exact(adjugate3(m)) == _exact(reference_adjugate3(m)), m
+
+
+def test_pencil_determinant_and_adjugate_match_the_cofactors():
+    pencils = _pencils()
+    assert len(pencils) > 40
+    for m in pencils:
+        assert det3(m) == reference_det3(m), m
+        assert adjugate3(m) == reference_adjugate3(m), m
+        assert det3(m).d == 6 and all(b.d == 4 for row in adjugate3(m) for b in row)

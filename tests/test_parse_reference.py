@@ -117,7 +117,7 @@ class ReferenceParser:
             name = self.text[start : self.pos]
             if name not in ALL_VARS:
                 raise ParseError(f"unknown variable {name!r}")
-            return AffinePoly.variable(ALL_VARS, name)
+            return AffinePoly(ALL_VARS, {tuple(int(v == name) for v in ALL_VARS): 1})
         if ch.isdigit():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():

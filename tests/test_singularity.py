@@ -21,7 +21,6 @@ from biquadric.fibration import (
     matrix_rank,
     normalize_projective,
     polar_rows,
-    proportional,
 )
 from biquadric.scalars import NumberFieldElement, is_zero_scalar
 from biquadric.singularity import (
@@ -161,12 +160,12 @@ def _section_value_anywhere(column):
 
 
 def _on_component(P, comp) -> bool:
-    p1, p2 = P
+    p1, p2 = (normalize_projective(p) for p in P)
     try:
         if isinstance(comp, HorizontalSection):
-            return proportional(p2, comp.p2)
+            return p2 == normalize_projective(comp.p2)
         if isinstance(comp, FibreLine):
-            return proportional(p1, comp.p1) and is_zero_scalar(
+            return p1 == normalize_projective(comp.p1) and is_zero_scalar(
                 sum((comp.line[i] * p2[i] for i in range(3)), Fraction(0)))
     except ValueError:  # coordinates over unrelated number fields
         return False
@@ -342,7 +341,7 @@ class TestClassifyLocal:
             "y1": AffinePoly(CHART_VARS, {(0, 1, 0): Fraction(1), (0, 0, 1): Fraction(-1)}),
             "y2": AffinePoly(CHART_VARS, {(0, 0, 1): Fraction(1)}),
         }
-        assert classify_local(local.substitute(sub)).label == "A3"
+        assert classify_local(local.evaluate([sub[x] for x in CHART_VARS])).label == "A3"
 
 
 def base_point_family(a11, a12, b11, b22, b02, b12, c00, c11, c22, c02, c12):
@@ -439,7 +438,7 @@ def _shifted_family(n, cutoff, rng, scalars):
     (n + 1)-determined, and both classifications read only the
     (cutoff + 1)-jet, so the label is A_n for n <= cutoff and
     NonIsolatedSuspected(cutoff) above."""
-    w, u, v = (AffinePoly.variable(CHART_VARS, x) for x in CHART_VARS)
+    w, u, v = (AffinePoly(CHART_VARS, {e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     c = lambda: scalars[rng.randrange(len(scalars))]  # noqa: E731
     big_u, big_v = u + c() * w ** 2, v + c() * w ** 3
     while True:
@@ -452,8 +451,8 @@ def _shifted_family(n, cutoff, rng, scalars):
         frame = [[Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(3)] for _ in range(3)]
         if not is_zero_scalar(det3(frame)):
             break
-    moved = f.substitute({x: sum((frame[i][j] * (w, u, v)[j] for j in range(3)), AffinePoly(CHART_VARS))
-                          for i, x in enumerate(CHART_VARS)})
+    moved = f.evaluate([sum((frame[i][j] * (w, u, v)[j] for j in range(3)), AffinePoly(CHART_VARS))
+                        for i in range(3)])
     return AffinePoly(CHART_VARS, {e: x for e, x in moved.terms.items() if sum(e) <= cutoff + 1})
 
 

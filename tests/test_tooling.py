@@ -25,7 +25,7 @@ def test_benchmark_tracer_finds_every_layer():
     # The tracer looks sympy.factor_list up in sys.modules.  The benchmark
     # has imported sympy by then only if one of each workload's three warm-up
     # operations factors a polynomial over Q; a change that stops that (for
-    # one seed) needs the tracer fix of ROADMAP item 10 first.
+    # one seed) needs the tracer fix of ROADMAP item 1 first.
     import sympy  # noqa: F401
     tracing.Tracer()
 
