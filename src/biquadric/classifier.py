@@ -40,6 +40,7 @@ from .fibration import (
     line_span,
     matrix_rank,
     normalize_projective,
+    on_contracted_section,
     phi_sigma_constant,
     polar,
     ramified_along,
@@ -247,22 +248,6 @@ def _fmt_point(P: Point) -> str:
     return f"{_fmt_coords(P[0])}x{_fmt_coords(P[1])}"
 
 
-def _double_line_of(f: BiPoly, p1):
-    """The support line of a rank-1 fibre conic over p1."""
-    conic = restrict_x(f, p1)
-    lines = split_conic(conic)
-    if not lines:
-        raise ValueError("fibre over p1 is not a singular conic")
-    return lines[0]
-
-
-def _on_some_section(p2, section_points) -> bool:
-    """True iff p2 is a Galois conjugate of one of the section points.  The
-    singular locus keeps one point of each Galois orbit, over the field of
-    its own coordinates, so one point may be written over two fields."""
-    return any(conjugate(p2, q) for q in section_points)
-
-
 # ---------------------------------------------------------------------------
 # Semi-stability (irreducible surfaces)
 
@@ -278,28 +263,25 @@ def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> Non
         checks.note(_fmt_point(rec.point), "ConePullback",
                     all(e[0] == 0 for e in rec.tangent_cone.terms), Flag((p1,), p2))
     # Condition (ii): non-reduced fibre inside the ramification locus.  A
-    # ramified double-line fibre is singular along the whole line, so the
-    # witnesses are exactly the fibre-line components of the singular locus.
+    # ramified double-line fibre is singular along the whole line, and the
+    # locus lists it as a fibre line exactly when f_x0 and f_x1 vanish on
+    # it; an isolated point of a double line lies on an unramified one.
     for comp in locus.curve_components:
         if isinstance(comp, FibreLine):
             checks.note(
-                f"fibre line over {_fmt_coords(comp.p1)}", "RamifiedDoubleFibre",
-                ramified_along(f, comp.p1, comp.line),
+                f"fibre line over {_fmt_coords(comp.p1)}", "RamifiedDoubleFibre", True,
                 Flag((comp.p1,), _point_on_line(comp.line), comp.line))
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if rec.fibre_rank == 1:  # a double-line fibre
-            line = _double_line_of(f, p1)
-            checks.note(_fmt_point(rec.point), "RamifiedDoubleFibre",
-                        ramified_along(f, p1, line), Flag((p1,), p2, line))
+        if rec.fibre_line is not None:
+            checks.note(_fmt_point(rec.point), "RamifiedDoubleFibre", False,
+                        Flag((p1,), p2, rec.fibre_line))
     # Condition (iii): a reduced reducible fibre with a ramified component
     # whose image line is the constant value of the tangent map along a
     # contracted section through the point.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if rec.fibre_rank != 2:  # not a pair of distinct lines
-            continue
-        if not _on_some_section(p2, locus.section_points):
+        if rec.fibre_line is not None or not on_contracted_section(f, p2):
             continue
         ps = phi_sigma_constant(f, p2)
         if ps.kind is not PhiSigmaKind.CONSTANT:
@@ -353,23 +335,24 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
         ps = phi_sigma_constant(f, p2)
         if ps.kind is PhiSigmaKind.UNDEFINED:
             raise ValueError("singular contracted section: input is unstable")
+        # the locus keeps one point of each Galois orbit, over the field of
+        # its own coordinates, so a point and p2 may be written over two fields
         violated = ps.kind is PhiSigmaKind.CONSTANT and all(
-            rec.is_a1 for rec in locus.isolated_points
-            if _on_some_section(rec.point[1], (p2n,)))
+            rec.is_a1 for rec in locus.isolated_points if conjugate(rec.point[1], p2n))
         checks.note(f"section through {_fmt_coords(p2n)}", "ConstantTangentMap",
                     violated, Flag(p=p2n, line=ps.line))
     # A non-A1 singular point on a contracted section.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if not rec.is_a1 and _on_some_section(p2, locus.section_points):
+        if not rec.is_a1 and on_contracted_section(f, p2):
             checks.note(_fmt_point(rec.point), "NonA1OnContractedSection", True,
                         Flag((p1,), p2, _non_a1_section_line(f, rec.point)))
     # A non-A1 singular point with a non-reduced (double-line) fibre.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if not rec.is_a1 and rec.fibre_rank == 1:
+        if not rec.is_a1 and rec.fibre_line is not None:
             checks.note(_fmt_point(rec.point), "NonA1NonReducedFibre", True,
-                        Flag((p1,), p2, _double_line_of(f, p1)))
+                        Flag((p1,), p2, rec.fibre_line))
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,12 @@ def contracted_sections(f: BiPoly) -> Tuple[Tuple[object, object, object], ...]:
     return tuple(_common_conic_points([q for q in conic_coefficients(f) if not q.is_zero()]))
 
 
+def on_contracted_section(f: BiPoly, p2) -> bool:
+    """True iff the section P^1 x {p2} lies on f: A, B and C vanish at p2,
+    evaluated in the field of p2's own coordinates."""
+    return all(is_zero_scalar(q.evaluate(p2)) for q in conic_coefficients(f))
+
+
 def common_component(conics) -> Optional[AffinePoly]:
     """The common component of nonzero conics: the first conic if they are
     all proportional, else a line of the first conic dividing every other
@@ -538,4 +544,11 @@ def ramified_along(f: BiPoly, p1, line) -> bool:
     """
     if not line_divides_conic(line, restrict_x(f, p1)):
         raise ValueError("the line is not contained in the fibre over p1")
-    return all(line_divides_conic(line, restrict_x(f.partial(v), p1)) for v in ("x0", "x1"))
+    fx = (f.partial("x0"), f.partial("x1"))
+    return all(q.is_zero() for q in restricted_partials(fx, p1, *line_span(line)))
+
+
+def restricted_partials(fx, p1, v1, v2) -> Tuple[BinForm, BinForm]:
+    """The x-partials fx = (f_x0, f_x1) on the fibre over p1, restricted to
+    the line {s v1 + t v2}: binary quadratics in (s, t)."""
+    return tuple(restricted_to_line(restrict_x(g, p1), v1, v2) for g in fx)

@@ -27,7 +27,6 @@ from .bipoly import (
     adjugate3,
     coefficient_matrix,
     cross,
-    det3,
     monomial_basis,
     moved_form,
 )
@@ -36,16 +35,16 @@ from .fibration import (
     binform_gcd,
     conic_coefficients,
     conic_gram,
-    conjugate,
     contracted_sections,
     discriminant,
     fibre_matrix,
     matrix_kernel,
     matrix_rank,
     normalize_projective,
+    on_contracted_section,
     polar_rows,
     restrict_x,
-    restricted_to_line,
+    restricted_partials,
 )
 from .scalars import UniPoly, is_zero_scalar, scalar_inv
 
@@ -56,7 +55,7 @@ Point = Tuple[Tuple[object, object], Tuple[object, object, object]]
 
 
 # ---------------------------------------------------------------------------
-# Charts and tangent cones
+# Charts
 
 
 def completed_rows(v) -> Tuple:
@@ -78,21 +77,6 @@ def point_frame(P: Point) -> FrameChange:
 def chart_local(f: BiPoly, P: Point) -> AffinePoly:
     """Local equation of the surface in the affine chart centred at P."""
     return act(point_frame(P), f).dehomogenize()
-
-
-def tangent_cone(f: BiPoly, P: Point) -> AffinePoly:
-    local = chart_local(f, P)
-    if not local.degree_part(0).is_zero():
-        raise ValueError("the point is not on the surface")
-    if not local.degree_part(1).is_zero():
-        raise ValueError("the point is not singular")
-    return local.degree_part(2)
-
-
-def hessian_det(cone: AffinePoly):
-    """Determinant of the matrix of second partials of a ternary quadratic
-    form, which is its doubled Gram matrix."""
-    return det3(conic_gram(cone))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +248,6 @@ def classify_local(local: AffinePoly, cutoff: int = 10) -> LocalType:
     return LocalType("OtherIsolated")
 
 
-def classify_singularity(f: BiPoly, P: Point, cutoff: int = 10) -> LocalType:
-    return classify_local(chart_local(f, P), cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Singular locus
 
@@ -300,7 +280,9 @@ CurveComponent = Union[HorizontalSection, FibreLine, FibreConic, PlaneCurveImage
 class SingularPointRecord:
     point: Point
     local: AffinePoly  # the local equation in the chart centred at the point
-    fibre_rank: int  # rank of the fibre conic over the point's P^1 coordinate
+    # the support line of the fibre conic over the point when it is a double
+    # line (rank 1), else None (rank 2, the point being its vertex)
+    fibre_line: Optional[Tuple[object, object, object]]
 
     @property
     def tangent_cone(self) -> AffinePoly:
@@ -338,9 +320,8 @@ def singular_locus(f: BiPoly, factors=None) -> SingularLocus:
 def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
     pencil = fibre_matrix(f)
     disc = discriminant(pencil)
-    fx0 = f.partial("x0")
-    fx1 = f.partial("x1")
-    points: List[Point] = []
+    fx0, fx1 = f.partial("x0"), f.partial("x1")
+    points: List[Tuple[Point, object]] = []
     components: List[CurveComponent] = []
     if disc.is_zero():
         components.append(_vertex_curve(f))
@@ -363,23 +344,20 @@ def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
     for p2 in section_points:
         if matrix_rank(polar_rows(f, p2)) == 0:
             components.append(HorizontalSection(p2))
-    unique_components = []
-    for comp in components:
-        if comp not in unique_components:
-            unique_components.append(comp)
+    unique_components = tuple(dict.fromkeys(components))
     # Of the curves of an irreducible locus only a horizontal section can
-    # hold a listed point: a fibre line's fibre lists no points.  The section
-    # stands for its whole Galois orbit, so a conjugate point lies on it too.
-    sections = [c.p2 for c in unique_components if isinstance(c, HorizontalSection)]
-    unique_points = []
-    for P in points:
+    # hold a listed point: a fibre line's fibre lists no points.  A point lies
+    # on one iff it is a singular point of A, B and C, the test above read in
+    # the point's own field, so its Galois orbit needs no matching.
+    sections = any(isinstance(c, HorizontalSection) for c in unique_components)
+    records = {}
+    for P, line in points:
         P = (normalize_projective(P[0]), normalize_projective(P[1]))
-        if P in unique_points or any(conjugate(P[1], p2) for p2 in sections):
+        if P in records or (sections and on_contracted_section(f, P[1])
+                            and matrix_rank(polar_rows(f, P[1])) == 0):
             continue
-        unique_points.append(P)
-    records = tuple(SingularPointRecord(P, chart_local(f, P), matrix_rank(pencil.evaluate(P[0])))
-                    for P in unique_points)
-    return SingularLocus(records, tuple(unique_components), section_points)
+        records[P] = SingularPointRecord(P, chart_local(f, P), line)
+    return SingularLocus(tuple(records.values()), unique_components, section_points)
 
 
 def _vertex_curve(f: BiPoly) -> CurveComponent:
@@ -410,39 +388,37 @@ def _rank_one_fibres(pencil) -> List[Tuple[object, object]]:
 
 
 def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
+    """The singular points of the fibre over p1pt, each with its fibre's
+    double line or None, and the fibre line when the whole line is singular:
+    f_x0 and f_x1 vanish on it, which is to say the fibre is ramified there."""
     m = pencil.evaluate(p1pt)
     kernel = matrix_kernel(m)
     rank = 3 - len(kernel)
-    points: List[Point] = []
+    points: List[Tuple[Point, object]] = []
     components: List[CurveComponent] = []
     if rank == 3:
         return points, components
     if rank == 2:
         vertex = normalize_projective(kernel[0])
-        if all(
-            is_zero_scalar(g.evaluate(p1pt, vertex)) for g in (fx0, fx1)
-        ):
-            points.append((p1pt, vertex))
+        if all(is_zero_scalar(g.evaluate(p1pt, vertex)) for g in (fx0, fx1)):
+            points.append(((p1pt, vertex), None))
         return points, components
     if rank == 1:
-        # double-line fibre: the whole kernel plane is fibre-singular
-        line = None
-        for row in m:
-            if any(not is_zero_scalar(c) for c in row):
-                line = normalize_projective(row)
-                break
+        # double-line fibre: the whole kernel plane is fibre-singular, and
+        # each nonzero row of the rank-1 matrix is the line
+        line = normalize_projective(next(r for r in m if any(not is_zero_scalar(c) for c in r)))
         v1, v2 = kernel
-        q0, q1 = (restricted_to_line(restrict_x(g, p1pt), v1, v2) for g in (fx0, fx1))
+        q0, q1 = restricted_partials((fx0, fx1), p1pt, v1, v2)
         if q0.is_zero() and q1.is_zero():
             components.append(FibreLine(p1pt, line))
             return points, components
         g = binform_gcd(q0, q1)
         for (s, t), _mult in g.roots():
             if not is_zero_scalar(s):
-                points.append((p1pt, tuple(a + t * b for a, b in zip(v1, v2))))
+                points.append(((p1pt, tuple(a + t * b for a, b in zip(v1, v2))), line))
         # the root [0, 1] of the line's parameter is v2 itself
         if g.d > g.poly.degree:
-            points.append((p1pt, tuple(v2)))
+            points.append(((p1pt, tuple(v2)), line))
         return points, components
     raise ValueError("identically zero fibre: the polynomial is reducible")
 

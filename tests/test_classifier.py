@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 from biquadric.bipoly import BiPoly, FrameChange, act, parse
 from biquadric.cli import read_poly
 from biquadric.classifier import (
-    _on_some_section,
     CLAUSES,
     Certificate,
     Flag,
@@ -20,10 +20,18 @@ from biquadric.classifier import (
 )
 from biquadric import classifier, fibration, singularity
 from biquadric.factorizer import bihomogeneous_factor
+from biquadric.fibration import restrict_x, split_conic
 from biquadric.oneps import Weight, mu
 from biquadric.scalars import NumberFieldElement
-from biquadric.singularity import singular_locus
-from conftest import EXPECTED_CLASS, random_poly, random_unimodular, substitution_act
+from biquadric.singularity import FibreLine, singular_locus
+from conftest import (
+    EXPECTED_CLASS,
+    FIXTURES,
+    pool_forms,
+    random_poly,
+    random_unimodular,
+    substitution_act,
+)
 from make_golden import CORPUS_PATH
 from weightlp_reference import destabilizing_weight
 
@@ -183,14 +191,51 @@ class TestSectionPointsAcrossFields:
         sqrt3 = NumberFieldElement((-3, 0, 1), (0, 1))
         one_plus_sqrt2 = NumberFieldElement((-1, -2, 1), (0, 1))
         p = (Fraction(1), one_plus_sqrt2 - 1, Fraction(0))
-        assert _on_some_section(p, [(Fraction(1), sqrt2, Fraction(0))])
-        assert _on_some_section(p, [(Fraction(2), sqrt2 * -2, Fraction(0))])
-        assert not _on_some_section(p, [(Fraction(1), sqrt3, Fraction(0))])
-        assert not _on_some_section(p, [(Fraction(1), Fraction(1), Fraction(0))])
-        assert not _on_some_section(p, [(Fraction(0), sqrt2, Fraction(1))])
+        conjugate = fibration.conjugate
+        assert conjugate(p, (Fraction(1), sqrt2, Fraction(0)))
+        assert conjugate(p, (Fraction(2), sqrt2 * -2, Fraction(0)))
+        assert not conjugate(p, (Fraction(1), sqrt3, Fraction(0)))
+        assert not conjugate(p, (Fraction(1), Fraction(1), Fraction(0)))
+        assert not conjugate(p, (Fraction(0), sqrt2, Fraction(1)))
         q = (Fraction(0), Fraction(1), Fraction(2))
-        assert _on_some_section(q, [p, (Fraction(0), Fraction(-2), Fraction(-4))])
-        assert not _on_some_section(q, [p])
+        assert any(conjugate(q, r) for r in [p, (Fraction(0), Fraction(-2), Fraction(-4))])
+        assert not conjugate(q, p)
+
+
+def _fibre_fact_forms():
+    """The irreducible forms of one seeded corpus: the golden inputs, the
+    fixtures under two seeded frames each and a slice of the sparse pool."""
+    rng = random.Random("fibre-facts")
+    texts = [entry["text"] for entry in json.loads(CORPUS_PATH.read_text())]
+    texts += [repr(act(random_unimodular(rng), parse(text)))
+              for text in FIXTURES.values() for _ in range(2)]
+    texts += pool_forms(150, "fibre-facts")
+    return [f for f in map(parse, texts) if len(bihomogeneous_factor(f)) == 1]
+
+
+def test_locus_fibre_facts_match_the_direct_routes():
+    """The singular locus decides each fibre and section fact that the
+    condition checks read.  The direct routes stay as references: the
+    ramification test on every double line, the line split off the fibre
+    conic, and Galois matching of a point against the section points."""
+    seen = Counter()
+    for f in _fibre_fact_forms():
+        locus = singular_locus(f)
+        for comp in locus.curve_components:
+            if isinstance(comp, FibreLine):
+                assert fibration.ramified_along(f, comp.p1, comp.line), repr(f)
+                seen["fibre line"] += 1
+        for rec in locus.isolated_points:
+            p1, p2 = rec.point
+            if rec.fibre_line is not None:
+                assert not fibration.ramified_along(f, p1, rec.fibre_line), repr(f)
+                assert rec.fibre_line == split_conic(restrict_x(f, p1))[0], repr(f)
+                seen["double-line point"] += 1
+            on_section = fibration.on_contracted_section(f, p2)
+            assert on_section == any(fibration.conjugate(p2, q) for q in locus.section_points)
+            seen["point"] += 1
+            seen["point on a section"] += on_section
+    assert min(seen.values()) >= 20, seen
 
 
 class TestCertificateSoundness:

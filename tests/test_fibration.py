@@ -371,10 +371,10 @@ def _section_forms(rng, count):
 
 class TestGradientsMatchFrameMoves:
     """ramified_along and phi_sigma_constant against their frame-move
-    references on every argument the condition checks pass them, each
-    point's recorded fibre rank against the rank of its fibre conic, and the
-    polar-row test for a singular contracted section against the five
-    partials."""
+    references on every argument the condition checks pass them, whether
+    each point records a double line against the rank of its fibre conic,
+    and the polar-row test for a singular contracted section against the
+    five partials."""
 
     def test_condition_check_arguments(self, fixtures, monkeypatch):
         visits = {"ramified": [], "phi": []}
@@ -404,7 +404,7 @@ class TestGradientsMatchFrameMoves:
                 continue
             locus = singular_locus(f)
             for rec in locus.isolated_points:
-                assert rec.fibre_rank == conic_rank(f, rec.point[0])
+                assert conic_rank(f, rec.point[0]) == (2 if rec.fibre_line is None else 1)
                 points += 1
             for p2 in locus.section_points:
                 singular = matrix_rank(polar_rows(f, p2)) == 0

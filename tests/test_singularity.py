@@ -33,11 +33,8 @@ from biquadric.singularity import (
     SingularPointRecord,
     chart_local,
     classify_local,
-    classify_singularity,
-    hessian_det,
     local_algebra_dim,
     singular_locus,
-    tangent_cone,
 )
 import act_reference
 from conftest import FIXTURES, pool_forms, random_poly, random_unimodular
@@ -57,27 +54,29 @@ def a_n_normal_form(n):
 
 class TestIsSingularAt:
     """A point is singular iff the local equation in the chart at it has no
-    constant and no linear part; tangent_cone raises otherwise."""
+    constant and no linear part."""
 
     def test_missing_transverse_term(self):
         # no y0*y2 term in the x0^2 row: the base point is singular
         f = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*(y0*y1+y0*y2) + x1^2*y0^2")
-        assert not tangent_cone(f, ORIGIN).is_zero()
+        local = chart_local(f, ORIGIN)
+        assert local.degree_part(0).is_zero() and local.degree_part(1).is_zero()
+        assert not local.degree_part(2).is_zero()
 
     def test_generic_point_smooth(self):
         f = parse("x0^2*(y0*y2+y1^2) + x1^2*(y0^2+y1^2+y2^2)")
         # passes through [1,0]x[1,0,0] with nonzero gradient
-        with pytest.raises(ValueError, match="not singular"):
-            tangent_cone(f, ORIGIN)
+        local = chart_local(f, ORIGIN)
+        assert local.degree_part(0).is_zero() and not local.degree_part(1).is_zero()
 
     def test_corner_double_point(self):
         P = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1), Fraction(0)))
         # locally the square of a product of two chart coordinates
-        assert tangent_cone(parse("x0^2*y0^2"), P).is_zero()
+        local = chart_local(parse("x0^2*y0^2"), P)
+        assert all(local.degree_part(d).is_zero() for d in range(3))
 
     def test_point_must_lie_on_surface(self):
-        with pytest.raises(ValueError, match="not on the surface"):
-            tangent_cone(parse("x0^2*y0^2"), ORIGIN)
+        assert not chart_local(parse("x0^2*y0^2"), ORIGIN).degree_part(0).is_zero()
 
 
 class TestSingularLocus:
@@ -199,13 +198,13 @@ def adjugate_section_locus(f):
     for comp in components:
         if comp not in unique_components:
             unique_components.append(comp)
-    unique_points = []
-    for P in points:
+    unique_points = {}
+    for P, line in points:
         P = (normalize_projective(P[0]), normalize_projective(P[1]))
         if P not in unique_points and not any(_on_component(P, c) for c in unique_components):
-            unique_points.append(P)
-    records = tuple(SingularPointRecord(P, chart_local(f, P), matrix_rank(pencil.evaluate(P[0])))
-                    for P in unique_points)
+            unique_points[P] = line
+    records = tuple(SingularPointRecord(P, chart_local(f, P), line)
+                    for P, line in unique_points.items())
     return SingularLocus(records, tuple(unique_components), sections), partials
 
 
@@ -280,18 +279,18 @@ class TestIdenticallySingularPencil:
 class TestTangentConeAndHessian:
     def test_generic_shape(self):
         f = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*y0*y2 + x1^2*y0^2")
-        cone = tangent_cone(f, ORIGIN)
+        cone = chart_local(f, ORIGIN).degree_part(2)
         assert cone == affine({(0, 2, 0): 1, (0, 0, 2): 1, (0, 1, 1): 1,
                                (1, 0, 1): 1, (2, 0, 0): 1})
 
     def test_pullback_cone_has_no_transverse_terms(self):
         f = parse("x0^2*(y1^2+y2^2+y1*y2) + x0*x1*(y1^2+y2^2+y1*y2)"
                   " + x1^2*(y0*y1+y0*y2+y1^2+y2^2+y1*y2)")
-        cone = tangent_cone(f, ORIGIN)
+        cone = chart_local(f, ORIGIN).degree_part(2)
         assert all(e[0] == 0 for e in cone.terms)
 
     def test_unit_hessian(self):
-        assert hessian_det(affine({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})) == 8
+        assert det3(conic_gram(affine({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}))) == 8
 
     def test_reference_formula(self):
         # 8*a11*a22*c00 - 2*a11*b02^2 - 2*a12^2*c00 on the normalized cone
@@ -299,14 +298,14 @@ class TestTangentConeAndHessian:
         def cone(a11, a22, a12, b02, c00):
             return affine({(0, 2, 0): a11, (0, 0, 2): a22, (0, 1, 1): a12,
                            (1, 0, 1): b02, (2, 0, 0): c00})
-        assert hessian_det(cone(1, 1, 0, 0, 1)) == 8
+        assert det3(conic_gram(cone(1, 1, 0, 0, 1))) == 8
         for vals in ((1, 2, 3, 4, 5), (2, -1, 1, 3, -2)):
             a11, a22, a12, b02, c00 = vals
             expected = 8 * a11 * a22 * c00 - 2 * a11 * b02 ** 2 - 2 * a12 ** 2 * c00
-            assert hessian_det(cone(*vals)) == expected
+            assert det3(conic_gram(cone(*vals))) == expected
 
     def test_rank_deficient(self):
-        assert hessian_det(affine({(2, 0, 0): 1, (0, 2, 0): 1})) == 0
+        assert det3(conic_gram(affine({(2, 0, 0): 1, (0, 2, 0): 1}))) == 0
 
 
 class TestLocalAlgebraDim:
@@ -359,25 +358,25 @@ class TestCoefficientRegimes:
 
     def test_nonzero_hessian_gives_a1(self):
         f = base_point_family(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-        assert classify_singularity(f, ORIGIN).label == "A1"
-        assert hessian_det(tangent_cone(f, ORIGIN)) == -4
+        assert classify_local(chart_local(f, ORIGIN)).label == "A1"
+        assert det3(conic_gram(chart_local(f, ORIGIN).degree_part(2))) == -4
 
     def test_vanishing_hessian_generic_gives_a2(self):
         f = base_point_family(1, 1, 1, 1, 1, 1, -1, 1, 1, 1, 1)
-        assert hessian_det(tangent_cone(f, ORIGIN)) == 0
-        assert classify_singularity(f, ORIGIN).label == "A2"
+        assert det3(conic_gram(chart_local(f, ORIGIN).degree_part(2))) == 0
+        assert classify_local(chart_local(f, ORIGIN)).label == "A2"
         assert local_algebra_dim(chart_local(f, ORIGIN)).label == "Stabilized(2)"
 
     def test_deeper_degeneration_gives_a3(self):
         f = base_point_family(1, 1, 2, 1, 1, 2, -1, 2, 1, -1, 1)
-        assert hessian_det(tangent_cone(f, ORIGIN)) == 0
-        assert classify_singularity(f, ORIGIN).label == "A3"
+        assert det3(conic_gram(chart_local(f, ORIGIN).degree_part(2))) == 0
+        assert classify_local(chart_local(f, ORIGIN)).label == "A3"
         assert local_algebra_dim(chart_local(f, ORIGIN)).label == "Stabilized(3)"
 
     def test_full_degeneration_non_isolated(self):
         f = base_point_family(1, 1, 2, 1, 1, 2, -1, 1, 0, -1, 1)
-        assert hessian_det(tangent_cone(f, ORIGIN)) == 0
-        assert classify_singularity(f, ORIGIN).label == "NonIsolatedSuspected(10)"
+        assert det3(conic_gram(chart_local(f, ORIGIN).degree_part(2))) == 0
+        assert classify_local(chart_local(f, ORIGIN)).label == "NonIsolatedSuspected(10)"
         assert local_algebra_dim(chart_local(f, ORIGIN)).label == "NotStabilized"
 
     def test_cutoff_below_two_rejected(self):
@@ -539,13 +538,13 @@ def full_scan_locus(f):
         if comp not in unique_components:
             unique_components.append(comp)
     on_section = [c.p2 for c in unique_components if isinstance(c, HorizontalSection)]
-    unique_points = []
-    for P in points:
+    unique_points = {}
+    for P, line in points:
         P = (normalize_projective(P[0]), normalize_projective(P[1]))
         if P not in unique_points and not any(conjugate(P[1], p2) for p2 in on_section):
-            unique_points.append(P)
-    records = tuple(SingularPointRecord(P, chart_local(f, P), matrix_rank(pencil.evaluate(P[0])))
-                    for P in unique_points)
+            unique_points[P] = line
+    records = tuple(SingularPointRecord(P, chart_local(f, P), line)
+                    for P, line in unique_points.items())
     return SingularLocus(records, tuple(unique_components), sections)
 
 

@@ -141,12 +141,11 @@ def test_classifier_builds_every_certificate_frame_in_one_place():
 
 def test_only_singular_locus_output_labels_a_point():
     # A verdict reads a point's cone rank (SingularPointRecord.is_a1); an A_n
-    # label is computed only where the singular-locus command prints it, and
-    # for a bare germ.
+    # label is computed only where the singular-locus command prints it.
     callers = set()
     for path in sorted((ROOT / "src" / "biquadric").glob("*.py")):
         callers |= _callers(ast.parse(path.read_text()), ("classify_local",))["classify_local"]
-    assert callers == {"classify_singularity", "_cmd_singular_locus"}
+    assert callers == {"_cmd_singular_locus"}
 
 
 def test_only_corank_two_germs_reach_the_local_algebra():
