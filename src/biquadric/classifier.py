@@ -255,7 +255,7 @@ def _fmt_point(P: Point) -> str:
 def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> None:
     """Per-singular-point report of the three semi-stability conditions plus
     the singular-contracted-section condition; each has a Positive witness."""
-    f = checks.f
+    pencil = locus.pencil
     # Condition (i): tangent cone pulled back from the plane, that is, free
     # of the transverse chart variable x1.
     for rec in locus.isolated_points:
@@ -281,18 +281,18 @@ def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> Non
     # contracted section through the point.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if rec.fibre_line is not None or not on_contracted_section(f, p2):
+        if rec.fibre_line is not None or not on_contracted_section(pencil, p2):
             continue
-        ps = phi_sigma_constant(f, p2)
+        ps = phi_sigma_constant(pencil, p2)
         if ps.kind is not PhiSigmaKind.CONSTANT:
             continue
         # The only candidate component is the constant tangent line itself
         # (it passes through p2 by construction), so instead of splitting the
         # fibre conic we test whether that line divides it.
-        if not line_divides_conic(ps.line, restrict_x(f, p1)):
+        if not line_divides_conic(ps.line, pencil.evaluate(p1)):
             continue
         checks.note(_fmt_point(rec.point), "RamifiedComponentWithContractedSection",
-                    ramified_along(f, p1, ps.line), Flag((p1,), p2, ps.line))
+                    ramified_along(pencil, p1, ps.line), Flag((p1,), p2, ps.line))
     # Singular contracted section (undefined tangent map).
     for comp in locus.curve_components:
         if isinstance(comp, HorizontalSection):
@@ -305,7 +305,7 @@ def check_semistability_conditions(checks: _Checks, locus: SingularLocus) -> Non
 # Stability (irreducible semi-stable surfaces)
 
 
-def _non_a1_section_line(f: BiPoly, P: Point):
+def _non_a1_section_line(pencil, P: Point):
     """The line a non-A1 singular point P on a contracted section is aligned
     to: the polar line at p2 of f_t(p1, .), for the x-variable x_t that the
     frame completes p1 with.
@@ -321,18 +321,17 @@ def _non_a1_section_line(f: BiPoly, P: Point):
     p1 . grad_x f(p1, .) = 2 f(p1, .), which is singular at p2.
     """
     p1, p2 = P
-    x_t = "x1" if not is_zero_scalar(p1[0]) else "x0"
-    return polar(conic_gram(restrict_x(f.partial(x_t), p1)), p2)
+    return polar(pencil.x_partials(p1)[0 if is_zero_scalar(p1[0]) else 1], p2)
 
 
 def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
     """Stability test for an irreducible semi-stable f; each clause has a
     Zero witness (the limit along the weight exists and is nonzero)."""
-    f = checks.f
+    pencil = locus.pencil
     # Constant tangent map along a section with at most A1 points on it.
     for p2 in locus.section_points:
         p2n = normalize_projective(p2)
-        ps = phi_sigma_constant(f, p2)
+        ps = phi_sigma_constant(pencil, p2)
         if ps.kind is PhiSigmaKind.UNDEFINED:
             raise ValueError("singular contracted section: input is unstable")
         # the locus keeps one point of each Galois orbit, over the field of
@@ -344,9 +343,9 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
     # A non-A1 singular point on a contracted section.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
-        if not rec.is_a1 and on_contracted_section(f, p2):
+        if not rec.is_a1 and on_contracted_section(pencil, p2):
             checks.note(_fmt_point(rec.point), "NonA1OnContractedSection", True,
-                        Flag((p1,), p2, _non_a1_section_line(f, rec.point)))
+                        Flag((p1,), p2, _non_a1_section_line(pencil, rec.point)))
     # A non-A1 singular point with a non-reduced (double-line) fibre.
     for rec in locus.isolated_points:
         p1, p2 = rec.point
@@ -362,12 +361,13 @@ def check_stability_conditions(checks: _Checks, locus: SingularLocus) -> None:
 def _tangent_flag(x, conic) -> Flag:
     """x, a point p of the smooth conic on Z(y2) (over at most a quadratic
     extension) and the conic's tangent line at p."""
-    q = restricted_to_line(conic, (1, 0, 0), (0, 1, 0))
+    g = conic_gram(conic)
+    q = restricted_to_line(g, (1, 0, 0), (0, 1, 0))
     if q.is_zero():
         raise ValueError("conic is singular along Z(y2)")
     r = q.roots()[0][0]
     p = (r[0], r[1], 0)
-    return Flag(x, p, polar(conic_gram(conic), p))
+    return Flag(x, p, polar(g, p))
 
 
 def classify_reducible(f: BiPoly, factors: List[Factor]) -> Verdict:

@@ -37,6 +37,7 @@ from .fibration import (
     binform_gcd,
     common_component,
     conic_coefficients,
+    conic_gram,
     line_divides_conic,
     split_conic,
 )
@@ -206,7 +207,7 @@ def _bilinear_pair(A, B, C, s, modulus) -> Tuple[BiPoly, BiPoly]:
     n = (B - s) * Fraction(1, 2)
     for line in split_conic(A) or ():
         line = tuple(_in_field(c, modulus) for c in line)
-        if None in line or not line_divides_conic(line, m):
+        if None in line or not line_divides_conic(line, conic_gram(m)):
             continue
         q0 = _line_quotient(A, line)
         p = form_of_matrix((1, 1), [line, _line_quotient(n, q0)])

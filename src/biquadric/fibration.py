@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bipoly import AffinePoly, BiPoly, Y_VARS, cross, det3, dot, is_scalar_multiple, moved_form
+from .bipoly import AffinePoly, BiPoly, Y_VARS, cross, det3, dot, is_scalar_multiple
 from .scalars import (
     NumberFieldElement,
     UniPoly,
@@ -131,22 +131,37 @@ def binform_gcd(a: BinForm, b: BinForm) -> BinForm:
 
 @dataclass(frozen=True)
 class ConicPencil:
-    """Doubled Gram matrix of f as a quadratic form in y: y^T M(x) y = 2 f."""
+    """The Gram matrices grams = (G_A, G_B, G_C) of the conics of f = A x0^2 +
+    B x0 x1 + C x1^2, and M(x) = G_A x0^2 + G_B x0 x1 + G_C x1^2: y^T M(x) y = 2 f."""
 
-    entries: Tuple[Tuple[BinForm, BinForm, BinForm], ...]
+    grams: Tuple
 
-    def evaluate(self, p1) -> Tuple[Tuple[object, ...], ...]:
-        return tuple(tuple(e.evaluate(p1) for e in row) for row in self.entries)
+    @property
+    def entries(self) -> Tuple[Tuple[BinForm, ...], ...]:
+        """M(x) as a matrix of binary quadratics."""
+        return tuple(tuple(BinForm(2, [g[i][j] for g in self.grams]) for j in range(3))
+                     for i in range(3))
+
+    def evaluate(self, p):
+        """M(p), the Gram matrix of the fibre conic over p."""
+        return self._combine(p[0] * p[0], p[0] * p[1], p[1] * p[1])
+
+    def x_partials(self, p):
+        """The Gram matrices of f_x0 = 2 x0 A + x1 B and f_x1 = x0 B + 2 x1 C over p."""
+        return self._combine(2 * p[0], p[1], 0), self._combine(0, p[0], 2 * p[1])
+
+    def _combine(self, *weights):
+        """The sum of weights[k] * grams[k], skipping zero weights and entries."""
+        terms = [(w, g) for w, g in zip(weights, self.grams) if not is_zero_scalar(w)]
+        return tuple(tuple(sum((w * g[i][j] for w, g in terms if not is_zero_scalar(g[i][j])), 0)
+                           for j in range(3)) for i in range(3))
 
 
 def fibre_matrix(f: BiPoly) -> ConicPencil:
-    """The pencil whose entry (i, j) is the binary quadratic form with the
-    (i, j) Gram entries of A, B and C as coefficients."""
+    """The pencil of the Gram matrices of A, B and C."""
     if f.bidegree != (2, 2):
         raise ValueError("fibre matrix requires bidegree (2, 2)")
-    grams = [conic_gram(q) for q in conic_coefficients(f)]
-    return ConicPencil(tuple(tuple(BinForm(2, [g[i][j] for g in grams]) for j in range(3))
-                             for i in range(3)))
+    return ConicPencil(tuple(conic_gram(q) for q in conic_coefficients(f)))
 
 
 def discriminant(pencil: ConicPencil) -> BinForm:
@@ -312,16 +327,20 @@ def split_conic(q: AffinePoly) -> Optional[List[Tuple[object, object, object]]]:
     return [combo(1, -t) for t in roots]
 
 
-def restricted_to_line(conic: AffinePoly, v1, v2) -> BinForm:
-    """Twice the restriction of a conic in y to the line {s v1 + t v2}: a
-    binary quadratic in (s, t)."""
-    g = conic_gram(conic)
+def congruence(g, rows):
+    """rows g rows^T: the Gram matrix of q(v * rows) if g is the Gram matrix of q."""
+    return tuple(tuple(bilinear(g, a, b) for b in rows) for a in rows)
+
+
+def restricted_to_line(g, v1, v2) -> BinForm:
+    """Twice the restriction of the conic with Gram matrix g to the line
+    {s v1 + t v2}: a binary quadratic in (s, t)."""
     return BinForm(2, [bilinear(g, v1, v1), 2 * bilinear(g, v1, v2), bilinear(g, v2, v2)])
 
 
-def line_divides_conic(line, q: AffinePoly) -> bool:
-    """True iff the conic vanishes identically on the line Z(line)."""
-    return restricted_to_line(q, *line_span(line)).is_zero()
+def line_divides_conic(line, g) -> bool:
+    """True iff the conic with Gram matrix g vanishes on the line Z(line)."""
+    return restricted_to_line(g, *line_span(line)).is_zero()
 
 
 def line_span(line):
@@ -340,20 +359,20 @@ def line_span(line):
 # Contracted sections
 
 
-def contracted_sections(f: BiPoly) -> Tuple[Tuple[object, object, object], ...]:
+def contracted_sections(pencil: ConicPencil) -> Tuple[Tuple[object, object, object], ...]:
     """All P2 in P^2 with f(., ., P2) identically zero: the common zeros of
     the conics A, B, C.
 
     f must be irreducible, so that A, B and C share no component (a shared
     component would divide f) and their common zeros are finitely many.
     """
-    return tuple(_common_conic_points([q for q in conic_coefficients(f) if not q.is_zero()]))
+    return tuple(_common_conic_points([g for g in pencil.grams if any(map(any, g))]))
 
 
-def on_contracted_section(f: BiPoly, p2) -> bool:
+def on_contracted_section(pencil: ConicPencil, p2) -> bool:
     """True iff the section P^1 x {p2} lies on f: A, B and C vanish at p2,
     evaluated in the field of p2's own coordinates."""
-    return all(is_zero_scalar(q.evaluate(p2)) for q in conic_coefficients(f))
+    return all(is_zero_scalar(bilinear(g, p2, p2)) for g in pencil.grams)
 
 
 def common_component(conics) -> Optional[AffinePoly]:
@@ -365,27 +384,22 @@ def common_component(conics) -> Optional[AffinePoly]:
     if all(is_scalar_multiple(first, q) for q in rest):
         return first
     for line in split_conic(first) or ():
-        if all(line_divides_conic(line, q) for q in rest):
+        if all(line_divides_conic(line, conic_gram(q)) for q in rest):
             return AffinePoly(Y_VARS, {tuple(int(i == j) for j in range(3)): line[i] for i in range(3)})
     return None
 
 
-def _y2_profile(q: AffinePoly):
-    """Write a conic as a polynomial in y2: coefficients by y2-degree."""
-    by_deg = {0: {}, 1: {}, 2: {}}
-    for e, c in q.terms.items():
-        by_deg[e[2]][(e[0], e[1])] = c
-    c2 = by_deg[2].get((0, 0), 0)
-    c1 = BinForm(1, [by_deg[1].get((1, 0), 0), by_deg[1].get((0, 1), 0)])
-    c0 = BinForm(2, [by_deg[0].get((2, 0), 0), by_deg[0].get((1, 1), 0), by_deg[0].get((0, 2), 0)])
-    return c2, c1, c0
+def _y2_profile(g):
+    """Twice the conic with Gram matrix g as a polynomial in y2: the
+    coefficients of y2^2, y2 and 1, the last two forms in (y0, y1)."""
+    return g[2][2], BinForm(1, [2 * g[0][2], 2 * g[1][2]]), BinForm(2, [g[0][0], 2 * g[0][1], g[1][1]])
 
 
-def _resultant_y2(q1: AffinePoly, q2: AffinePoly) -> BinForm:
-    """Resultant of two conics with respect to y2, with exact degree handling;
-    the output is a binary form in (y0, y1) of the appropriate degree."""
-    a2, a1, a0 = _y2_profile(q1)
-    b2, b1, b0 = _y2_profile(q2)
+def _resultant_y2(g1, g2) -> BinForm:
+    """Resultant with respect to y2 of twice the conics with Gram matrices g1
+    and g2, with exact degree handling: a binary form in (y0, y1)."""
+    a2, a1, a0 = _y2_profile(g1)
+    b2, b1, b0 = _y2_profile(g2)
     deg1 = 2 if not is_zero_scalar(a2) else (1 if not a1.is_zero() else 0)
     deg2 = 2 if not is_zero_scalar(b2) else (1 if not b1.is_zero() else 0)
     if deg1 == 0:
@@ -408,8 +422,9 @@ def _resultant_y2(q1: AffinePoly, q2: AffinePoly) -> BinForm:
     return (lin0 * lin0) * quad2 - quad1 * (lin0 * lin1) + quad0 * (lin1 * lin1)
 
 
-def _common_conic_points(conics):
-    """The common points of nonzero conics that share no component.
+def _common_conic_points(grams):
+    """The common points of nonzero conics, by their Gram matrices, that
+    share no component.
 
     They are solved over the roots of their projection from [0 : 0 : 1], and
     if two lie over one irrational root, from [k : k^2 : 1] for k = 1, 2, ...,
@@ -420,29 +435,25 @@ def _common_conic_points(conics):
     """
     for k in range(13):
         shear = ((1, 0, 0), (0, 1, 0), (k, k * k, 1))
-        points = _projected_points([moved_form(shear, q) for q in conics] if k else conics)
+        points = _projected_points([congruence(g, shear) for g in grams] if k else grams)
         if points is None:
             continue
-        unique = []
-        for p in points:
-            p = normalize_projective((p[0] + k * p[2], p[1] + k * k * p[2], p[2]))
-            if p not in unique:
-                unique.append(p)
-        return unique
+        return list(dict.fromkeys(
+            normalize_projective((p[0] + k * p[2], p[1] + k * k * p[2], p[2])) for p in points))
     raise RuntimeError("no projection centre separates the common points")
 
 
-def _projected_points(conics):
-    """The common points of the conics over the roots of their projection
-    from [0 : 0 : 1], or None if two lie over one irrational root."""
+def _projected_points(grams):
+    """The common points of the conics with these Gram matrices over the roots of
+    their projection from [0 : 0 : 1], or None if two lie over one irrational root."""
     candidates: List[BinForm] = []
-    for q in conics:
-        c2, c1, c0 = _y2_profile(q)
+    for g in grams:
+        c2, c1, c0 = _y2_profile(g)
         if is_zero_scalar(c2) and c1.is_zero():
             candidates.append(c0)
-    for i in range(len(conics)):
-        for j in range(i + 1, len(conics)):
-            candidates.append(_resultant_y2(conics[i], conics[j]))
+    for i in range(len(grams)):
+        for j in range(i + 1, len(grams)):
+            candidates.append(_resultant_y2(grams[i], grams[j]))
     candidates = [c for c in candidates if not c.is_zero()]
     if not candidates:
         raise RuntimeError("resultant system degenerated; common component expected")
@@ -452,30 +463,26 @@ def _projected_points(conics):
     points = []
     if g.d >= 1:
         for (u0, u1), _mult in g.roots():
-            over = _solve_y2(conics, u0, u1)
+            over = _solve_y2(grams, u0, u1)
             if over is None:
                 return None
             points.extend(over)
     # the centre [0,0,1] projects nowhere under (y0, y1); test it directly
-    centre = (0, 0, 1)
-    if all(is_zero_scalar(q.evaluate(centre)) for q in conics):
-        points.append(centre)
+    if all(is_zero_scalar(g[2][2]) for g in grams):
+        points.append((0, 0, 1))
     return points
 
 
-def _solve_y2(conics, u0, u1):
+def _solve_y2(grams, u0, u1):
     """Common y2 values over the base point [u0 : u1] of all the conics, or
     None if two distinct ones lie over an irrational base point."""
-    polys = []
-    for q in conics:
-        c2, c1, c0 = _y2_profile(q)
-        p = UniPoly([c0.evaluate((u0, u1)), c1.evaluate((u0, u1)), c2])
-        if not p.is_zero():
-            polys.append(p)
+    # twice each conic on the line through [u0 : u1 : 0] and the centre
+    polys = [restricted_to_line(g, (u0, u1, 0), (0, 0, 1)).poly for g in grams]
+    polys = [p for p in polys if not p.is_zero()]
     if not polys:
         # the line through the centre and [u0 : u1 : 0] lies on every conic
         raise RuntimeError("conics share a line; common component expected")
-    h = polys[0]
+    h = polys[0].monic()
     for p in polys[1:]:
         h = uv_gcd(h, p)
     if isinstance(u1, NumberFieldElement) and h.degree == 2 \
@@ -500,19 +507,15 @@ class PhiSigma:
     line: Optional[Tuple[object, object, object]] = None  # original y-coordinates
 
 
-def polar_rows(f: BiPoly, p2):
+def polar_rows(pencil: ConicPencil, p2):
     """The polar rows G_A p2, G_B p2, G_C p2 of A, B and C at a point p2 of
     a contracted section P^1 x {p2}."""
-    rows = []
-    for q in conic_coefficients(f):
-        g = conic_gram(q)
-        if not is_zero_scalar(bilinear(g, p2, p2)):
-            raise ValueError("p2 is not a contracted-section point")
-        rows.append(polar(g, p2))
-    return rows
+    if not on_contracted_section(pencil, p2):
+        raise ValueError("p2 is not a contracted-section point")
+    return [polar(g, p2) for g in pencil.grams]
 
 
-def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
+def phi_sigma_constant(pencil: ConicPencil, p2) -> PhiSigma:
     """Constancy of the fibre tangent-line map along the contracted section
     P^1 x {p2}.
 
@@ -520,7 +523,7 @@ def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
     combination of the polar rows of A, B and C: the map is constant iff
     these rows span at most one line.
     """
-    rows = polar_rows(f, p2)
+    rows = polar_rows(pencil, p2)
     rank = matrix_rank(rows)
     if rank == 0:
         return PhiSigma(PhiSigmaKind.UNDEFINED)
@@ -534,7 +537,7 @@ def phi_sigma_constant(f: BiPoly, p2) -> PhiSigma:
 # Ramification of a fibre line
 
 
-def ramified_along(f: BiPoly, p1, line) -> bool:
+def ramified_along(pencil: ConicPencil, p1, line) -> bool:
     """True iff the transverse x-derivative of f at the fibre over p1 vanishes
     identically on the fibre line Z(line).
 
@@ -542,13 +545,6 @@ def ramified_along(f: BiPoly, p1, line) -> bool:
     and f vanishes on the line, so every x-derivative vanishes there iff
     both partials f_x0 and f_x1 do.
     """
-    if not line_divides_conic(line, restrict_x(f, p1)):
+    if not line_divides_conic(line, pencil.evaluate(p1)):
         raise ValueError("the line is not contained in the fibre over p1")
-    fx = (f.partial("x0"), f.partial("x1"))
-    return all(q.is_zero() for q in restricted_partials(fx, p1, *line_span(line)))
-
-
-def restricted_partials(fx, p1, v1, v2) -> Tuple[BinForm, BinForm]:
-    """The x-partials fx = (f_x0, f_x1) on the fibre over p1, restricted to
-    the line {s v1 + t v2}: binary quadratics in (s, t)."""
-    return tuple(restricted_to_line(restrict_x(g, p1), v1, v2) for g in fx)
+    return all(line_divides_conic(line, g) for g in pencil.x_partials(p1))

@@ -32,8 +32,9 @@ from .bipoly import (
 )
 from .factorizer import bihomogeneous_factor
 from .fibration import (
+    ConicPencil,
+    bilinear,
     binform_gcd,
-    conic_coefficients,
     conic_gram,
     contracted_sections,
     discriminant,
@@ -44,7 +45,7 @@ from .fibration import (
     on_contracted_section,
     polar_rows,
     restrict_x,
-    restricted_partials,
+    restricted_to_line,
 )
 from .scalars import UniPoly, is_zero_scalar, scalar_inv
 
@@ -298,9 +299,10 @@ class SingularPointRecord:
 class SingularLocus:
     isolated_points: Tuple[SingularPointRecord, ...]
     curve_components: Tuple[CurveComponent, ...]
-    # The points of P^2 whose section P^1 x {p2} lies on the surface; empty
-    # for reducible input.
+    # The points of P^2 whose section P^1 x {p2} lies on the surface, and the
+    # fibre pencil that the locus was read from; () and None if f is reducible.
     section_points: Tuple[Tuple[object, object, object], ...] = ()
+    pencil: Optional[ConicPencil] = None
 
     @property
     def is_smooth(self) -> bool:
@@ -320,11 +322,10 @@ def singular_locus(f: BiPoly, factors=None) -> SingularLocus:
 def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
     pencil = fibre_matrix(f)
     disc = discriminant(pencil)
-    fx0, fx1 = f.partial("x0"), f.partial("x1")
     points: List[Tuple[Point, object]] = []
     components: List[CurveComponent] = []
     if disc.is_zero():
-        components.append(_vertex_curve(f))
+        components.append(_vertex_curve(pencil))
         fibres = _rank_one_fibres(pencil)
     else:
         # Only a repeated root can carry a singular point.  Jacobi: disc' =
@@ -334,15 +335,15 @@ def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
         # candidate, is singular iff t0 is repeated.
         fibres = [p1pt for p1pt, mult in disc.roots() if mult > 1]
     for p1pt in fibres:
-        pts, comps = _fibre_singularities(f, pencil, fx0, fx1, p1pt)
+        pts, comps = _fibre_singularities(pencil, p1pt)
         points.extend(pts)
         components.extend(comps)
     # whole contracted sections inside the singular locus.  Along P^1 x {p2}
     # the x-partials vanish identically and the y-partials are M(x) p2, so
     # the section is singular iff every polar row vanishes.
-    section_points = contracted_sections(f)
+    section_points = contracted_sections(pencil)
     for p2 in section_points:
-        if matrix_rank(polar_rows(f, p2)) == 0:
+        if matrix_rank(polar_rows(pencil, p2)) == 0:
             components.append(HorizontalSection(p2))
     unique_components = tuple(dict.fromkeys(components))
     # Of the curves of an irreducible locus only a horizontal section can
@@ -353,14 +354,14 @@ def _singular_locus_irreducible(f: BiPoly) -> SingularLocus:
     records = {}
     for P, line in points:
         P = (normalize_projective(P[0]), normalize_projective(P[1]))
-        if P in records or (sections and on_contracted_section(f, P[1])
-                            and matrix_rank(polar_rows(f, P[1])) == 0):
+        if P in records or (sections and on_contracted_section(pencil, P[1])
+                            and matrix_rank(polar_rows(pencil, P[1])) == 0):
             continue
         records[P] = SingularPointRecord(P, chart_local(f, P), line)
-    return SingularLocus(tuple(records.values()), unique_components, section_points)
+    return SingularLocus(tuple(records.values()), unique_components, section_points, pencil)
 
 
-def _vertex_curve(f: BiPoly) -> CurveComponent:
+def _vertex_curve(pencil: ConicPencil) -> CurveComponent:
     """The curve of singular points of an identically singular pencil.
 
     For irreducible f the generic fibre has rank 2, so its vertex is a point
@@ -374,7 +375,7 @@ def _vertex_curve(f: BiPoly) -> CurveComponent:
     their stacked Gram matrices (at most a point for irreducible f), and
     otherwise the image of the moving vertex x -> ker M(x).
     """
-    kernel = matrix_kernel([row for q in conic_coefficients(f) for row in conic_gram(q)])
+    kernel = matrix_kernel([row for g in pencil.grams for row in g])
     if kernel:
         return HorizontalSection(normalize_projective(kernel[0]))
     return PlaneCurveImage("image of the fibre-vertex section x -> ker M(x)")
@@ -387,7 +388,7 @@ def _rank_one_fibres(pencil) -> List[Tuple[object, object]]:
     return [p1pt for p1pt, _mult in g.roots()] if g.d >= 1 else []
 
 
-def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
+def _fibre_singularities(pencil: ConicPencil, p1pt):
     """The singular points of the fibre over p1pt, each with its fibre's
     double line or None, and the fibre line when the whole line is singular:
     f_x0 and f_x1 vanish on it, which is to say the fibre is ramified there."""
@@ -400,7 +401,7 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
         return points, components
     if rank == 2:
         vertex = normalize_projective(kernel[0])
-        if all(is_zero_scalar(g.evaluate(p1pt, vertex)) for g in (fx0, fx1)):
+        if all(is_zero_scalar(bilinear(d, vertex, vertex)) for d in pencil.x_partials(p1pt)):
             points.append(((p1pt, vertex), None))
         return points, components
     if rank == 1:
@@ -408,7 +409,7 @@ def _fibre_singularities(f, pencil, fx0, fx1, p1pt):
         # each nonzero row of the rank-1 matrix is the line
         line = normalize_projective(next(r for r in m if any(not is_zero_scalar(c) for c in r)))
         v1, v2 = kernel
-        q0, q1 = restricted_partials((fx0, fx1), p1pt, v1, v2)
+        q0, q1 = (restricted_to_line(d, v1, v2) for d in pencil.x_partials(p1pt))
         if q0.is_zero() and q1.is_zero():
             components.append(FibreLine(p1pt, line))
             return points, components

@@ -221,17 +221,19 @@ def test_locus_fibre_facts_match_the_direct_routes():
     seen = Counter()
     for f in _fibre_fact_forms():
         locus = singular_locus(f)
+        pencil = fibration.fibre_matrix(f)
+        assert locus.pencil == pencil
         for comp in locus.curve_components:
             if isinstance(comp, FibreLine):
-                assert fibration.ramified_along(f, comp.p1, comp.line), repr(f)
+                assert fibration.ramified_along(pencil, comp.p1, comp.line), repr(f)
                 seen["fibre line"] += 1
         for rec in locus.isolated_points:
             p1, p2 = rec.point
             if rec.fibre_line is not None:
-                assert not fibration.ramified_along(f, p1, rec.fibre_line), repr(f)
+                assert not fibration.ramified_along(pencil, p1, rec.fibre_line), repr(f)
                 assert rec.fibre_line == split_conic(restrict_x(f, p1))[0], repr(f)
                 seen["double-line point"] += 1
-            on_section = fibration.on_contracted_section(f, p2)
+            on_section = fibration.on_contracted_section(pencil, p2)
             assert on_section == any(fibration.conjugate(p2, q) for q in locus.section_points)
             seen["point"] += 1
             seen["point on a section"] += on_section
@@ -340,6 +342,39 @@ class TestLocalGeometryComputedOnce:
             classify(f)
             assert calls == {"chart_local": n, "fibre_matrix": 1}
         assert points >= 10
+
+    def test_locus_and_checks_read_only_the_pencil(self, fixtures, monkeypatch):
+        # f's conics are read once, into the pencil; no fibre conic or
+        # x-partial of f is restricted from f after that.
+        calls = Counter()
+
+        def count(owner, name, key):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.update([key]) or real(*args))
+
+        for module in (fibration, singularity, classifier):
+            for name in ("conic_coefficients", "restrict_x"):
+                if hasattr(module, name):
+                    count(module, name, name)
+        count(BiPoly, "partial", "partial")
+        rng = random.Random(37)
+        forms = list(fixtures.values()) + [act(random_unimodular(rng), f) for f in fixtures.values()]
+        seen = Counter()
+        for f in forms:
+            factors = bihomogeneous_factor(f)
+            if len(factors) >= 2:
+                continue
+            calls.clear()
+            locus = singular_locus(f, factors)
+            checks = classifier._Checks(f)
+            classifier.check_semistability_conditions(checks, locus)
+            if checks.cert is None:
+                classifier.check_stability_conditions(checks, locus)
+            assert calls == Counter(conic_coefficients=1), repr(f)
+            seen.update(r.clause for r in checks.records)
+        assert {"ConePullback", "RamifiedDoubleFibre", "RamifiedComponentWithContractedSection",
+                "SingularSection", "ConstantTangentMap", "NonA1OnContractedSection",
+                "NonA1NonReducedFibre"} <= set(seen), seen
 
 
 class TestRandomSearch:

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from biquadric import classifier
-from biquadric.bipoly import BiPoly, FrameChange, act, adjugate3, det3, parse
+from biquadric.bipoly import BiPoly, FrameChange, act, adjugate3, det3, moved_form, parse
 from biquadric.factorizer import bihomogeneous_factor
 from biquadric.fibration import (
     BinForm,
@@ -13,6 +15,7 @@ from biquadric.fibration import (
     binform_gcd,
     conic_coefficients,
     conic_gram,
+    congruence,
     conjugate,
     contracted_sections,
     discriminant,
@@ -24,6 +27,7 @@ from biquadric.fibration import (
     polar_rows,
     ramified_along,
     restrict_x,
+    _y2_profile,
 )
 from biquadric.scalars import (
     NumberFieldElement,
@@ -33,7 +37,8 @@ from biquadric.scalars import (
     uv_gcd,
 )
 from biquadric.singularity import HorizontalSection, point_frame, singular_locus
-from conftest import MONOMIALS, random_poly, random_unimodular
+from conftest import FIXTURES, MONOMIALS, random_poly, random_unimodular
+from make_golden import CORPUS_PATH
 
 SMOOTH = parse("x0^2*(y0^2+y1^2+y2^2) + x0*x1*(y0*y1+y1*y2) + x1^2*(y0^2+2*y1^2+3*y2^2+y0*y2)")
 # irreducible, singular along the contracted section through [1, 0, 0]
@@ -219,10 +224,10 @@ class TestContractedSections:
     def test_single_point(self):
         f = parse("x0^2*(y1^2+y0*y2+y2^2+y1*y2) + x0*x1*(y1^2+y0*y2)"
                   " + x1^2*(y1^2+y0*y2+y1*y2)")
-        assert [tuple(map(str, p)) for p in contracted_sections(f)] == [("1", "0", "0")]
+        assert [tuple(map(str, p)) for p in contracted_sections(fibre_matrix(f))] == [("1", "0", "0")]
 
     def test_smooth_surface_has_none(self):
-        assert contracted_sections(SMOOTH) == ()
+        assert contracted_sections(fibre_matrix(SMOOTH)) == ()
 
     def test_tower_family(self):
         # f = x0^2 Q1 + x1^2 Q2 has the points of Q1 n Q2 as its contracted
@@ -241,7 +246,7 @@ class TestContractedSections:
             assert classifier.classify(moved).stability is verdict.stability
             if len(bihomogeneous_factor(f)) > 1:
                 continue
-            points = contracted_sections(f)
+            points = contracted_sections(fibre_matrix(f))
             for p in points:
                 assert all(is_zero_scalar(q.evaluate(p)) for q in conic_coefficients(f))
             for i, p in enumerate(points):
@@ -260,42 +265,43 @@ class TestPhiSigma:
     def test_constant(self):
         f = parse("x0^2*(y1^2+y0*y2+y2^2+y1*y2) + x0*x1*(y1^2+y0*y2)"
                   " + x1^2*(y1^2+y0*y2+y1*y2)")
-        ps = phi_sigma_constant(f, (1, 0, 0))
+        ps = phi_sigma_constant(fibre_matrix(f), (1, 0, 0))
         assert ps.kind is PhiSigmaKind.CONSTANT
         # the common tangent line is Z(y2)
         assert [str(c) for c in ps.line[:2]] == ["0", "0"] and str(ps.line[2]) != "0"
 
     def test_undefined_on_singular_section(self):
-        assert phi_sigma_constant(SINGULAR_SECTION, (1, 0, 0)).kind is PhiSigmaKind.UNDEFINED
+        assert phi_sigma_constant(fibre_matrix(SINGULAR_SECTION), (1, 0, 0)).kind \
+            is PhiSigmaKind.UNDEFINED
 
     def test_non_constant(self):
         f = parse("x0^2*(y1^2+y0*y2) + x0*x1*(y2^2+y0*y1)"
                   " + x1^2*(y1^2+y0*y2+y1*y2)")
-        assert phi_sigma_constant(f, (1, 0, 0)).kind is PhiSigmaKind.NON_CONSTANT
+        assert phi_sigma_constant(fibre_matrix(f), (1, 0, 0)).kind is PhiSigmaKind.NON_CONSTANT
 
     def test_requires_section_point(self):
         with pytest.raises(ValueError):
-            phi_sigma_constant(SMOOTH, (1, 0, 0))
+            phi_sigma_constant(fibre_matrix(SMOOTH), (1, 0, 0))
 
 
 class TestRamifiedAlong:
     def test_double_fibre_in_branch_locus(self):
         f = parse("x0^2*y2^2 + x0*x1*(y2^2+y0*y2+y1*y2)"
                   " + x1^2*(y0^2+y1^2+y2^2+y0*y1+y0*y2+y1*y2)")
-        assert ramified_along(f, (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
+        assert ramified_along(fibre_matrix(f), (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
 
     def test_transverse_component_not_ramified(self):
         f = parse("x0^2*y1*y2 + x0*x1*(y0^2+y1^2) + x1^2*(y0^2+y1^2+y2^2)")
-        assert not ramified_along(f, (1, 0), (Fraction(0), Fraction(1), Fraction(0)))
+        assert not ramified_along(fibre_matrix(f), (1, 0), (Fraction(0), Fraction(1), Fraction(0)))
 
     def test_divisible_derivative(self):
         # d f / d x1 at [1,0] is y2 * (y0 + y2): vanishes on Z(y2)
         f = parse("x0^2*(y1*y2+y2^2) + x0*x1*(y0*y2+y2^2) + x1^2*y0^2")
-        assert ramified_along(f, (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
+        assert ramified_along(fibre_matrix(f), (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
 
     def test_containment_precondition(self):
         with pytest.raises(ValueError):
-            ramified_along(SMOOTH, (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
+            ramified_along(fibre_matrix(SMOOTH), (1, 0), (Fraction(0), Fraction(0), Fraction(1)))
 
 
 # Frame-move references: the same two questions answered by moving f so that
@@ -330,9 +336,9 @@ def moved_ramified_along(f, p1, line):
     B, the coefficient of x0*x1."""
     g = point_frame((p1, (Fraction(1), Fraction(0), Fraction(0))))
     A, B, _C = conic_coefficients(act(g, f))
-    if not line_divides_conic(line, A):
+    if not line_divides_conic(line, conic_gram(A)):
         raise ValueError("the line is not contained in the fibre over p1")
-    return line_divides_conic(line, B)
+    return line_divides_conic(line, conic_gram(B))
 
 
 def five_partials_singular(f, p2):
@@ -371,18 +377,22 @@ def _section_forms(rng, count):
 
 class TestGradientsMatchFrameMoves:
     """ramified_along and phi_sigma_constant against their frame-move
-    references on every argument the condition checks pass them, whether
+    references on every argument the condition checks pass them (the
+    references read the form under test, the checks its pencil), whether
     each point records a double line against the rank of its fibre conic,
     and the polar-row test for a singular contracted section against the
     five partials."""
 
     def test_condition_check_arguments(self, fixtures, monkeypatch):
         visits = {"ramified": [], "phi": []}
+        under_test = {}
 
         def compared(new, reference, key):
-            def wrapper(*args):
-                expected = _outcome(reference, *args)
-                got = _outcome(new, *args)
+            def wrapper(pencil, *args):
+                f = under_test["f"]
+                assert pencil == fibre_matrix(f)
+                expected = _outcome(reference, f, *args)
+                got = _outcome(new, pencil, *args)
                 assert got == expected, args
                 visits[key].append(got)
                 if got is ValueError:
@@ -403,11 +413,12 @@ class TestGradientsMatchFrameMoves:
             if len(bihomogeneous_factor(f)) >= 2:
                 continue
             locus = singular_locus(f)
+            under_test["f"] = f
             for rec in locus.isolated_points:
                 assert conic_rank(f, rec.point[0]) == (2 if rec.fibre_line is None else 1)
                 points += 1
             for p2 in locus.section_points:
-                singular = matrix_rank(polar_rows(f, p2)) == 0
+                singular = matrix_rank(polar_rows(locus.pencil, p2)) == 0
                 assert singular == five_partials_singular(f, p2), p2
                 assert singular == (HorizontalSection(p2) in locus.curve_components), p2
                 sections.append(singular)
@@ -421,6 +432,74 @@ class TestGradientsMatchFrameMoves:
         assert True in visits["ramified"] and False in visits["ramified"]
         kinds = {ps.kind for ps in visits["phi"] if ps is not ValueError}
         assert kinds == set(PhiSigmaKind)
+
+
+# The routes the pencil replaced, kept as references: the fibre conic and its
+# x-partials restricted from f, the y2-profile read off a conic's terms and
+# the shear moved through the conic's terms.
+
+
+def term_y2_profile(q):
+    """A conic as a polynomial in y2, read off its terms: the coefficient of
+    y2^2 and the forms in (y0, y1) that multiply y2 and 1."""
+    by_deg = {0: {}, 1: {}, 2: {}}
+    for e, c in q.terms.items():
+        by_deg[e[2]][(e[0], e[1])] = c
+    c2 = by_deg[2].get((0, 0), 0)
+    c1 = BinForm(1, [by_deg[1].get((1, 0), 0), by_deg[1].get((0, 1), 0)])
+    c0 = BinForm(2, [by_deg[0].get((2, 0), 0), by_deg[0].get((1, 1), 0), by_deg[0].get((0, 2), 0)])
+    return c2, c1, c0
+
+
+@lru_cache(maxsize=None)
+def _pencil_corpus():
+    """The irreducible golden inputs and the fixtures under two seeded
+    frames each, with the points of P^1 they are read at: four rational
+    points and the roots of the discriminant, many over number fields."""
+    rng = random.Random("pencil-routes")
+    forms = [parse(entry["text"]) for entry in json.loads(CORPUS_PATH.read_text())]
+    forms += [act(random_unimodular(rng), parse(text)) for text in FIXTURES.values() for _ in range(2)]
+    out = []
+    for f in forms:
+        if len(bihomogeneous_factor(f)) != 1:
+            continue
+        points = [(1, 0), (0, 1), (1, rng.randint(-3, 3)), (rng.randint(1, 3), Fraction(rng.randint(-4, 4), 3))]
+        disc = discriminant(fibre_matrix(f))
+        if not disc.is_zero():
+            points += [p1 for p1, _mult in disc.roots()]
+        out.append((f, tuple(points)))
+    return tuple(out)
+
+
+class TestPencilMatchesTheConicRoutes:
+    """The pencil's Gram matrices against the routes through f's conics that
+    they replaced."""
+
+    def test_fibre_conic_and_x_partials(self):
+        irrational = 0
+        for f, points in _pencil_corpus():
+            pencil = fibre_matrix(f)
+            for p1 in points:
+                assert pencil.evaluate(p1) == conic_gram(restrict_x(f, p1)), (f, p1)
+                assert pencil.x_partials(p1) == tuple(
+                    conic_gram(restrict_x(f.partial(v), p1)) for v in ("x0", "x1")), (f, p1)
+                irrational += isinstance(p1[1], NumberFieldElement)
+        assert len(_pencil_corpus()) >= 150 and irrational >= 100
+
+    def test_profile_and_shear(self):
+        shears = [((1, 0, 0), (0, 1, 0), (k, k * k, 1)) for k in range(13)]
+        conics = 0
+        for f, _points in _pencil_corpus():
+            for q in conic_coefficients(f):
+                if q.is_zero():
+                    continue
+                conics += 1
+                for shear in shears:
+                    moved = moved_form(shear, q)
+                    g = congruence(conic_gram(q), shear)
+                    assert g == conic_gram(moved), (q, shear)
+                    assert _y2_profile(g) == tuple(2 * c for c in term_y2_profile(moved)), (q, shear)
+        assert conics >= 400
 
 
 class TestBinFormGcd:

@@ -188,12 +188,12 @@ def adjugate_section_locus(f):
     entries = [b for row in adjugate3(pencil.entries) for b in row if b]
     entry_gcd = reduce(binform_gcd, entries)
     for p1pt, _mult in (entry_gcd.roots() if entry_gcd.d >= 1 else []):
-        pts, comps = singularity._fibre_singularities(f, pencil, fx0, fx1, p1pt)
+        pts, comps = singularity._fibre_singularities(pencil, p1pt)
         points += pts
         components += comps
-    sections = contracted_sections(f)
+    sections = contracted_sections(pencil)
     components += [HorizontalSection(p2) for p2 in sections
-                   if matrix_rank(polar_rows(f, p2)) == 0]
+                   if matrix_rank(polar_rows(pencil, p2)) == 0]
     unique_components = []
     for comp in components:
         if comp not in unique_components:
@@ -205,7 +205,7 @@ def adjugate_section_locus(f):
             unique_points[P] = line
     records = tuple(SingularPointRecord(P, chart_local(f, P), line)
                     for P, line in unique_points.items())
-    return SingularLocus(records, tuple(unique_components), sections), partials
+    return SingularLocus(records, tuple(unique_components), sections, pencil), partials
 
 
 def _fixed_vertex_form(rng):
@@ -524,15 +524,14 @@ def full_scan_locus(f):
     fibre over every root of the discriminant, simple roots included: the
     reference for the scan of the repeated roots alone."""
     pencil = fibre_matrix(f)
-    fx0, fx1 = f.partial("x0"), f.partial("x1")
     points, components = [], []
     for p1pt, _mult in discriminant(pencil).roots():
-        pts, comps = singularity._fibre_singularities(f, pencil, fx0, fx1, p1pt)
+        pts, comps = singularity._fibre_singularities(pencil, p1pt)
         points += pts
         components += comps
-    sections = contracted_sections(f)
+    sections = contracted_sections(pencil)
     components += [HorizontalSection(p2) for p2 in sections
-                   if matrix_rank(polar_rows(f, p2)) == 0]
+                   if matrix_rank(polar_rows(pencil, p2)) == 0]
     unique_components = []
     for comp in components:
         if comp not in unique_components:
@@ -545,7 +544,7 @@ def full_scan_locus(f):
             unique_points[P] = line
     records = tuple(SingularPointRecord(P, chart_local(f, P), line)
                     for P, line in unique_points.items())
-    return SingularLocus(records, tuple(unique_components), sections)
+    return SingularLocus(records, tuple(unique_components), sections, pencil)
 
 
 @lru_cache(maxsize=None)
@@ -582,11 +581,10 @@ class TestRepeatedRootScan:
         simple = 0
         for f in _scan_corpus():
             pencil = fibre_matrix(f)
-            fx0, fx1 = f.partial("x0"), f.partial("x1")
             for p1pt, mult in discriminant(pencil).roots():
                 if mult == 1:
                     simple += 1
-                    assert singularity._fibre_singularities(f, pencil, fx0, fx1, p1pt) == ([], [])
+                    assert singularity._fibre_singularities(pencil, p1pt) == ([], [])
         assert simple >= 100
 
     def test_squarefree_discriminant_scans_no_fibre(self, monkeypatch):
